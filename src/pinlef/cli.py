@@ -41,6 +41,8 @@ from .errors import InputError, ParseError, PinlefError
 _SECTIONS = ("surface", "cycles", "threefold", "embedded-surface")
 _SECTION_RE = re.compile(r"^\[([a-z-]+)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z0-9_-]+)\s*=\s*(.*)$")
+# int() also takes "+1", "1_0" and non-ASCII digits; documents may not.
+_INT_RE = re.compile(r"-?[0-9]+")
 _ORACLE_RANK_LIMIT = 20
 
 
@@ -59,16 +61,22 @@ class InputDocument:
 # ---------------------------------------------------------------------------
 
 
+def _ascii_int(text: str) -> int:
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_int(text: str, line: int, what: str) -> int:
     try:
-        return int(text)
+        return _ascii_int(text)
     except ValueError:
         raise ParseError(line, f"{what} must be an integer, got {text!r}") from None
 
 
 def _parse_row(text: str, line: int) -> list[int]:
     try:
-        return [int(part.strip()) for part in text.split(",")]
+        return [_ascii_int(part.strip()) for part in text.split(",")]
     except ValueError:
         raise ParseError(line, f"malformed residue row {text!r}") from None
 
@@ -243,7 +251,10 @@ def _build_threefold(
     genus = _parse_int(*kv["genus"], "genus")
     if genus < 1:
         raise ParseError(kv["genus"][1], "threefold genus must be at least 1")
-    expected = sf.non_orientable_surface(2 * genus, 0)
+    try:
+        expected = sf.non_orientable_surface(2 * genus, 0)
+    except InputError as e:
+        raise ParseError(kv["genus"][1], str(e)) from None
     if surface != expected:
         raise ParseError(
             header_line,
@@ -679,15 +690,24 @@ def _build_argparser() -> argparse.ArgumentParser:
     return parser
 
 
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # Everything before the bad byte decodes; count its lines as parse does.
+        line = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line, "input is not valid UTF-8") from None
+
+
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
-        text = args.file.read_text(encoding="utf-8")
+        data = args.file.read_bytes()
     except OSError as e:
         print(f"error: cannot read {args.file}: {e}", file=sys.stderr)
         return 2
     try:
-        doc = parse(text)
+        doc = parse(_decode(data))
         report, status = run(args.command, doc, kind=args.kind, fmt=args.fmt)
     except PinlefError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -7,14 +7,13 @@ selection, so reduced forms (and everything derived from them: kernels,
 particular solutions, reported certificates) are reproducible bit-exactly.
 Over Z4 plain echelon forms are not canonical, so the row-module routines
 compute the Howell form instead, which makes membership in a row module
-decidable by reduction to zero.
-
-Sizes here are tiny (ranks well below 64); nothing is optimized for large
-or sparse inputs.
+decidable by reduction to zero.  Nothing is optimized for large or sparse
+inputs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -99,34 +98,15 @@ def rref_gf2(m: MatGF2) -> tuple[int, MatGF2, list[int]]:
     return r, _freeze(reduced), pivot_cols
 
 
-def _kernel_basis(m: MatGF2) -> tuple[VecGF2, ...]:
-    """Canonical basis of {v : m v = 0 (mod 2)}.
-
-    Built from the free columns of the RREF, then re-reduced so the basis
-    itself is in RREF (unique for the kernel subspace).
-    """
-    m = mat_gf2(m)
-    ncols = m.shape[1]
-    rank, reduced, pivot_cols = rref_gf2(m)
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    if not free_cols:
-        return ()
-    vectors = np.zeros((len(free_cols), ncols), dtype=np.uint8)
-    for k, f in enumerate(free_cols):
-        vectors[k, f] = 1
-        for i, p in enumerate(pivot_cols):
-            vectors[k, p] = reduced[i, f]
-    _, canon, _ = rref_gf2(vectors)
-    return tuple(_freeze(canon[i].copy()) for i in range(canon.shape[0]))
-
-
 def annihilator_gf2(rows: MatGF2) -> list[VecGF2]:
     """Basis of the common annihilator of a set of row vectors.
 
     Returns a canonical basis of {v : row . v = 0 for every row} under the
     mod-2 dot pairing; its size is cols - rank(rows).
     """
-    return list(_kernel_basis(rows))
+    rows = mat_gf2(rows)
+    _, solution, _ = eliminate_affine_gf2(rows, np.zeros(rows.shape[0], np.uint8))
+    return list(solution.kernel_basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +137,20 @@ class AffineSolutionGF2:
             yield v
 
 
-def solve_affine_gf2(C: MatGF2, A: VecGF2) -> AffineSolutionGF2 | None:
-    """Solve C x = A over Z2, describing the whole solution space.
+def eliminate_affine_gf2(
+    C: MatGF2, A: VecGF2
+) -> tuple[int, AffineSolutionGF2 | None, VecGF2 | None]:
+    """Decide C x = A over Z2 with one Gauss-Jordan pass over [C | A | I].
 
-    Returns None when the system is unsolvable, i.e. when
-    rank(C) < rank(C | A).
+    Returns (rank(C), solution, y): exactly one of the full solution set
+    and a row combination y with y.C = 0 and y.A = 1 is not None.
+
+    Leftmost-pivot elimination settles each column before looking at later
+    ones, and a row whose pivot lies further right never changes earlier
+    columns, so the C and A columns of the result are rref([C | A]).  A
+    pivot in the A column means the system is unsolvable, and that row's
+    identity part names the rows of C that sum to zero while their targets
+    sum to one.
 
     Raises:
         InputError: row count of C and length of A disagree.
@@ -172,24 +161,45 @@ def solve_affine_gf2(C: MatGF2, A: VecGF2) -> AffineSolutionGF2 | None:
         raise InputError(
             f"system has {C.shape[0]} rows but right-hand side has length {A.shape[0]}"
         )
-    ncols = C.shape[1]
-    aug = np.hstack([C, A[:, None]])
-    rank_c, _, _ = rref_gf2(C)
-    rank_aug, reduced_aug, pivots_aug = rref_gf2(aug)
-    if rank_aug > rank_c:
-        return None
+    nrows, ncols = C.shape
+    aug = np.hstack([C, A[:, None], np.eye(nrows, dtype=np.uint8)])
+    _, reduced, pivot_cols = rref_gf2(aug)
+    rank = bisect_left(pivot_cols, ncols)
+    if rank < len(pivot_cols) and pivot_cols[rank] == ncols:
+        return rank, None, _freeze(reduced[rank, ncols + 1 :].copy())
 
+    # Kernel basis from the free columns, re-reduced so that the basis
+    # itself is in RREF (unique for the subspace).
+    pivots = pivot_cols[:rank]
+    free_cols = sorted(set(range(ncols)) - set(pivots))
+    vectors = np.zeros((len(free_cols), ncols), dtype=np.uint8)
+    vectors[np.arange(len(free_cols)), free_cols] = 1
+    vectors[:, pivots] = reduced[:rank][:, free_cols].T
+    kernel = ()
+    if free_cols:
+        _, canon, _ = rref_gf2(vectors)
+        kernel = tuple(_freeze(row.copy()) for row in canon)
     particular = np.zeros(ncols, dtype=np.uint8)
-    for i, p in enumerate(pivots_aug):
-        particular[p] = reduced_aug[i, ncols]
-    kernel = _kernel_basis(C)
+    particular[pivots] = reduced[:rank, ncols]
     # Reducing by the canonical kernel rows at their pivot positions yields
     # the lexicographically smallest element of the solution coset.
     for row in kernel:
         p = int(np.nonzero(row)[0][0])
         if particular[p]:
             particular ^= row
-    return AffineSolutionGF2(_freeze(particular), kernel)
+    return rank, AffineSolutionGF2(_freeze(particular), kernel), None
+
+
+def solve_affine_gf2(C: MatGF2, A: VecGF2) -> AffineSolutionGF2 | None:
+    """Solve C x = A over Z2, describing the whole solution space.
+
+    Returns None when the system is unsolvable, i.e. when
+    rank(C) < rank(C | A).
+
+    Raises:
+        InputError: row count of C and length of A disagree.
+    """
+    return eliminate_affine_gf2(C, A)[1]
 
 
 def inconsistency_witness_gf2(C: MatGF2, A: VecGF2) -> VecGF2 | None:
@@ -198,19 +208,7 @@ def inconsistency_witness_gf2(C: MatGF2, A: VecGF2) -> VecGF2 | None:
     Returns y with y.C = 0 and y.A = 1 when the system is unsolvable,
     None when it is solvable.
     """
-    C = mat_gf2(C)
-    A = vec_gf2(A)
-    if C.shape[0] != A.shape[0]:
-        raise InputError(
-            f"system has {C.shape[0]} rows but right-hand side has length {A.shape[0]}"
-        )
-    nrows, ncols = C.shape
-    aug = np.hstack([C, A[:, None], np.eye(nrows, dtype=np.uint8)])
-    _, reduced, _ = rref_gf2(aug)
-    for row in reduced:
-        if not row[:ncols].any() and row[ncols]:
-            return _freeze(row[ncols + 1 :].copy())
-    return None
+    return eliminate_affine_gf2(C, A)[2]
 
 
 _Z4_INVERSE = {1: 1, 3: 3}

@@ -28,6 +28,7 @@ import numpy as np
 from . import finite_linalg as fl
 from . import surfaces as sf
 from .charclasses import EmbeddedSurfaceData
+from .constraints import ConstraintSystem, DecisionReport, rank_mismatch, z2_matrix
 from .errors import InputError, InvariantViolation
 
 
@@ -61,11 +62,7 @@ class LefschetzFibration:
 
     def z2_cycle_matrix(self) -> np.ndarray:
         """Mod-2 reductions of the cycles, one row per cycle."""
-        pres = sf.homology_presentation(self.fiber)
-        rows = [[a % 2 for a in c.coords] for c in self.cycles]
-        if not rows:
-            return fl.mat_gf2(np.zeros((0, pres.z2_rank), dtype=np.uint8))
-        return fl.mat_gf2(rows)
+        return z2_matrix(self.fiber, self.cycles)
 
 
 @dataclass(frozen=True)
@@ -102,25 +99,6 @@ class ObstructionWitness:
         )
 
 
-@dataclass(frozen=True)
-class DecisionReport:
-    """Outcome of a Pin decision: verdict, count, structures, certificate.
-
-    When structures exist, ``structure_count`` equals
-    2**h1_annihilator_dim and ``structures`` lists them all; otherwise
-    ``certificate`` explains why none exist (and for the minus kind
-    ``witness`` carries the dependent cycle family).
-    """
-
-    kind: str
-    exists: bool
-    structure_count: int
-    structures: tuple
-    h1_annihilator_dim: int
-    certificate: str | None = None
-    witness: ObstructionWitness | None = None
-
-
 def fibration_h1_annihilator(f: LefschetzFibration) -> list[np.ndarray]:
     """Basis of the fiber cohomology classes vanishing on every cycle.
 
@@ -148,45 +126,12 @@ def decide_pin_minus(f: LefschetzFibration) -> DecisionReport:
     each generator; requiring the value 2 on a cycle with reduction v
     reads v . s = 1 + q0(v)/2 over Z2.
     """
-    pres = sf.homology_presentation(f.fiber)
-    q0 = sf.base_enhancement_minus(f.fiber)
-    C = f.z2_cycle_matrix()
-    rhs = []
-    for c in f.cycles:
-        val = sf.eval_qminus(q0, sf.z2_reduction(c))
-        # Two-sidedness makes every base value even.
-        rhs.append((1 + val // 2) % 2)
-    A = fl.vec_gf2(rhs)
-    annihilator_dim = len(fibration_h1_annihilator(f))
 
-    solution = fl.solve_affine_gf2(C, A)
-    if solution is None:
-        y = fl.inconsistency_witness_gf2(C, A)
-        assert y is not None  # unsolvable systems always expose a combination
+    def certify(rank, y):
         witness = _witness_from_combination(f, y)
-        return DecisionReport(
-            kind="minus",
-            exists=False,
-            structure_count=0,
-            structures=(),
-            h1_annihilator_dim=annihilator_dim,
-            certificate=witness.describe(f),
-            witness=witness,
-        )
-    base = q0.values
-    structures = tuple(
-        sf.EnhancementMinus(
-            f.fiber, tuple((b + 2 * int(s)) % 4 for b, s in zip(base, vec))
-        )
-        for vec in solution.enumerate_solutions()
-    )
-    return DecisionReport(
-        kind="minus",
-        exists=True,
-        structure_count=solution.count,
-        structures=structures,
-        h1_annihilator_dim=annihilator_dim,
-    )
+        return witness.describe(f), witness
+
+    return ConstraintSystem("minus", f.fiber, f.cycles, 2).decide(certify)
 
 
 def decide_pin_plus(f: LefschetzFibration) -> DecisionReport:
@@ -197,47 +142,12 @@ def decide_pin_plus(f: LefschetzFibration) -> DecisionReport:
     exactly when the cycle matrix and its augmentation have equal rank.
     A fiber with no Pin+ structure obstructs immediately.
     """
-    annihilator_dim = len(fibration_h1_annihilator(f))
+    system = ConstraintSystem("plus", f.fiber, f.cycles, 1)
     obstruction = sf.pin_plus_obstruction(f.fiber)
     if obstruction is not None:
-        return DecisionReport(
-            kind="plus",
-            exists=False,
-            structure_count=0,
-            structures=(),
-            h1_annihilator_dim=annihilator_dim,
-            certificate=f"fiber has no Pin+ structure: {obstruction}",
-        )
-    q0 = sf.base_enhancement_plus(f.fiber)
-    C = f.z2_cycle_matrix()
-    A = fl.vec_gf2([(1 + sf.eval_qplus(q0, c)) % 2 for c in f.cycles])
-    solution = fl.solve_affine_gf2(C, A)
-    if solution is None:
-        rank_c, _, _ = fl.rref_gf2(C)
-        aug = np.hstack([C, np.asarray(A)[:, None]])
-        rank_aug, _, _ = fl.rref_gf2(aug)
-        return DecisionReport(
-            kind="plus",
-            exists=False,
-            structure_count=0,
-            structures=(),
-            h1_annihilator_dim=annihilator_dim,
-            certificate=(
-                f"rank(C) = {rank_c} != rank(C|A) = {rank_aug}; "
-                "no enhancement takes the value 1 on every cycle"
-            ),
-        )
-    structures = tuple(
-        sf.EnhancementPlus(f.fiber, tuple(int(b) for b in vec))
-        for vec in solution.enumerate_solutions()
-    )
-    return DecisionReport(
-        kind="plus",
-        exists=True,
-        structure_count=solution.count,
-        structures=structures,
-        h1_annihilator_dim=annihilator_dim,
-    )
+        return system.refuse(f"fiber has no Pin+ structure: {obstruction}")
+    reason = "no enhancement takes the value 1 on every cycle"
+    return system.decide(lambda rank, y: (rank_mismatch(rank, reason), None))
 
 
 def pin_minus_witness_search(f: LefschetzFibration) -> ObstructionWitness | None:
@@ -277,21 +187,12 @@ def pin_minus_witness_search(f: LefschetzFibration) -> ObstructionWitness | None
 
 def brute_force_pin_minus(f: LefschetzFibration) -> list[sf.EnhancementMinus]:
     """All minus enhancements taking the value 2 on every cycle (2**rank scan)."""
-    reduced = [sf.z2_reduction(c) for c in f.cycles]
-    return [
-        q
-        for q in sf.enumerate_enhancements(f.fiber, "minus")
-        if all(sf.eval_qminus(q, x) == 2 for x in reduced)
-    ]
+    return ConstraintSystem("minus", f.fiber, f.cycles, 2).brute_force()
 
 
 def brute_force_pin_plus(f: LefschetzFibration) -> list[sf.EnhancementPlus]:
     """All plus enhancements taking the value 1 on every cycle (2**rank scan)."""
-    return [
-        q
-        for q in sf.enumerate_enhancements(f.fiber, "plus")
-        if all(sf.eval_qplus(q, c) == 1 for c in f.cycles)
-    ]
+    return ConstraintSystem("plus", f.fiber, f.cycles, 1).brute_force()
 
 
 class SphereVerdicts(NamedTuple):

@@ -41,6 +41,9 @@ from .errors import InputError, InvariantViolation
 
 ORIENTABLE = "orientable"
 NON_ORIENTABLE = "non-orientable"
+# Largest mod-2 homology rank a surface model may have.  The presentation
+# is dense, so this bounds its r x r intersection form to 16 MiB.
+MAX_Z2_RANK = 4096
 
 
 @dataclass(frozen=True)
@@ -58,10 +61,22 @@ class SurfaceModel:
             raise InputError("surface counts must be non-negative")
         if self.kind == NON_ORIENTABLE and self.genus_or_crosscaps < 1:
             raise InputError("a non-orientable surface needs at least one crosscap")
+        if self.z2_rank > MAX_Z2_RANK:
+            raise InputError(
+                f"z2 rank {self.z2_rank} exceeds the limit of {MAX_Z2_RANK}"
+            )
 
     @property
     def closed(self) -> bool:
         return self.boundary_components == 0
+
+    @property
+    def z2_rank(self) -> int:
+        """Rank of mod-2 first homology: one generator per crosscap or two
+        per handle, plus one per boundary component beyond the first."""
+        per_count = 2 if self.kind == ORIENTABLE else 1
+        extra = max(self.boundary_components - 1, 0)
+        return per_count * self.genus_or_crosscaps + extra
 
     def describe(self) -> str:
         word = "genus" if self.kind == ORIENTABLE else "crosscaps"
@@ -98,13 +113,13 @@ def homology_presentation(s: SurfaceModel) -> HomologyPresentation:
     """The fixed presentation of first homology attached to a surface model."""
     b = s.boundary_components
     n_boundary = max(b - 1, 0)
+    r = s.z2_rank
     if s.kind == ORIENTABLE:
         g = s.genus_or_crosscaps
         labels = []
         for i in range(1, g + 1):
             labels += [f"a{i}", f"b{i}"]
         labels += [f"d{i}" for i in range(1, n_boundary + 1)]
-        r = 2 * g + n_boundary
         form = np.zeros((r, r), dtype=np.uint8)
         for i in range(g):
             form[2 * i, 2 * i + 1] = 1
@@ -114,7 +129,6 @@ def homology_presentation(s: SurfaceModel) -> HomologyPresentation:
         k = s.genus_or_crosscaps
         labels = [f"e{i}" for i in range(1, k + 1)]
         labels += [f"d{i}" for i in range(1, n_boundary + 1)]
-        r = k + n_boundary
         form = np.zeros((r, r), dtype=np.uint8)
         for i in range(k):
             form[i, i] = 1

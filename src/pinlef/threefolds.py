@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import finite_linalg as fl
 from . import surfaces as sf
+from .constraints import ConstraintSystem, DecisionReport, rank_mismatch, z2_matrix
 from .errors import InputError, InvalidDecomposition, InvariantViolation
-from .lefschetz import DecisionReport
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,7 @@ class HandlebodyDecomposition3:
         return self.attaching_classes + self.belt_classes
 
     def z2_class_matrix(self) -> np.ndarray:
-        rows = [[a % 2 for a in c.coords] for c in self.listed_classes()]
-        return fl.mat_gf2(rows)
+        return z2_matrix(self.boundary, self.listed_classes())
 
 
 def decide_pin_plus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:
@@ -92,41 +90,11 @@ def decide_pin_plus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:
     augmentation agree.  On success every solution is returned as a plus
     enhancement vanishing on all listed classes.
     """
-    boundary = d.boundary
-    # 2g crosscaps is even, so the boundary always carries Pin+; the
-    # relation check below still runs as a guard.
-    q0 = sf.base_enhancement_plus(boundary)
-    classes = d.listed_classes()
-    C = d.z2_class_matrix()
-    A = fl.vec_gf2([sf.eval_qplus(q0, c) for c in classes])
-    annihilator_dim = len(fl.annihilator_gf2(C))
-    solution = fl.solve_affine_gf2(C, A)
-    if solution is None:
-        rank_c, _, _ = fl.rref_gf2(C)
-        aug = np.hstack([C, np.asarray(A)[:, None]])
-        rank_aug, _, _ = fl.rref_gf2(aug)
-        return DecisionReport(
-            kind="plus",
-            exists=False,
-            structure_count=0,
-            structures=(),
-            h1_annihilator_dim=annihilator_dim,
-            certificate=(
-                f"rank(C) = {rank_c} != rank(C|A) = {rank_aug}; "
-                "no enhancement vanishes on all attaching and belt classes"
-            ),
-        )
-    structures = tuple(
-        sf.EnhancementPlus(boundary, tuple(int(b) for b in vec))
-        for vec in solution.enumerate_solutions()
-    )
-    return DecisionReport(
-        kind="plus",
-        exists=True,
-        structure_count=solution.count,
-        structures=structures,
-        h1_annihilator_dim=annihilator_dim,
-    )
+    # 2g crosscaps is even, so the boundary always carries Pin+; evaluating
+    # the base enhancement still runs the relation check as a guard.
+    system = ConstraintSystem("plus", d.boundary, d.listed_classes(), 0)
+    reason = "no enhancement vanishes on all attaching and belt classes"
+    return system.decide(lambda rank, y: (rank_mismatch(rank, reason), None))
 
 
 def solve_pin_minus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:
@@ -136,49 +104,18 @@ def solve_pin_minus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:
     unsolvable system therefore comes with a certificate naming an
     inconsistent subset of the curves.
     """
-    boundary = d.boundary
-    pres = sf.homology_presentation(boundary)
-    q0 = sf.base_enhancement_minus(boundary)
-    classes = d.listed_classes()
-    C = d.z2_class_matrix()
-    rhs = []
-    for c in classes:
-        val = sf.eval_qminus(q0, sf.z2_reduction(c))
-        rhs.append((val // 2) % 2)
-    A = fl.vec_gf2(rhs)
-    annihilator_dim = len(fl.annihilator_gf2(C))
-    solution = fl.solve_affine_gf2(C, A)
-    if solution is None:
-        y = fl.inconsistency_witness_gf2(C, A)
-        support = [int(i) for i in np.nonzero(np.asarray(y))[0]]
+
+    def certify(rank, y):
         names = ", ".join(
-            (f"a{i + 1}" if i < d.genus else f"b{i - d.genus + 1}") for i in support
+            (f"a{i + 1}" if i < d.genus else f"b{i - d.genus + 1}")
+            for i in np.nonzero(y)[0]
         )
-        return DecisionReport(
-            kind="minus",
-            exists=False,
-            structure_count=0,
-            structures=(),
-            h1_annihilator_dim=annihilator_dim,
-            certificate=(
-                f"no enhancement vanishes on all listed classes; "
-                f"inconsistent subset: {names}"
-            ),
-        )
-    base = q0.values
-    structures = tuple(
-        sf.EnhancementMinus(
-            boundary, tuple((b + 2 * int(s)) % 4 for b, s in zip(base, vec))
-        )
-        for vec in solution.enumerate_solutions()
-    )
-    return DecisionReport(
-        kind="minus",
-        exists=True,
-        structure_count=solution.count,
-        structures=structures,
-        h1_annihilator_dim=annihilator_dim,
-    )
+        return (
+            "no enhancement vanishes on all listed classes; "
+            f"inconsistent subset: {names}"
+        ), None
+
+    return ConstraintSystem("minus", d.boundary, d.listed_classes(), 0).decide(certify)
 
 
 def construct_pin_minus_3mfd(d: HandlebodyDecomposition3) -> sf.EnhancementMinus:
@@ -202,21 +139,11 @@ def construct_pin_minus_3mfd(d: HandlebodyDecomposition3) -> sf.EnhancementMinus
 
 def brute_force_pin_plus_3mfd(d: HandlebodyDecomposition3) -> list[sf.EnhancementPlus]:
     """All plus enhancements vanishing on the listed classes (2**(2g) scan)."""
-    classes = d.listed_classes()
-    return [
-        q
-        for q in sf.enumerate_enhancements(d.boundary, "plus")
-        if all(sf.eval_qplus(q, c) == 0 for c in classes)
-    ]
+    return ConstraintSystem("plus", d.boundary, d.listed_classes(), 0).brute_force()
 
 
 def brute_force_pin_minus_3mfd(
     d: HandlebodyDecomposition3,
 ) -> list[sf.EnhancementMinus]:
     """All minus enhancements vanishing on the listed classes (2**(2g) scan)."""
-    reduced = [sf.z2_reduction(c) for c in d.listed_classes()]
-    return [
-        q
-        for q in sf.enumerate_enhancements(d.boundary, "minus")
-        if all(sf.eval_qminus(q, x) == 0 for x in reduced)
-    ]
+    return ConstraintSystem("minus", d.boundary, d.listed_classes(), 0).brute_force()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 import pinlef as P
@@ -307,3 +309,54 @@ def test_bundled_examples_parse():
     for name in ("rp4.pinlef", "s2xtrp2.pinlef", "s2xrp2.pinlef"):
         doc = cli.parse(cli.bundled_example(name).read_text())
         assert doc.cycles
+
+
+# ---------------------------------------------------------------------------
+# rejected inputs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[surface]\nkind = orientable\ngenus = ١\n", 3),
+        ("[surface]\nkind = orientable\ngenus = 1_0\n", 3),
+        (RP4_TEXT.replace("\n2\n", "\n+2\n"), 8),
+        (RP4_TEXT.replace("\n2\n", "\n٢\n"), 8),
+    ],
+)
+def test_parse_accepts_only_ascii_integers(text, line):
+    with pytest.raises(ParseError) as err:
+        cli.parse(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[surface]\nkind = non-orientable\ncrosscaps = 4097\n", 1),
+        ("[surface]\nkind = orientable\ngenus = 1000000000000\n", 1),
+        ("[surface]\nkind = orientable\ngenus = 1\nboundary = 1000000000000\n", 1),
+        (THREEFOLD_TEXT.replace("genus = 1", "genus = 1000000000000"), 7),
+    ],
+)
+def test_parse_caps_the_z2_rank(text, line):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="exceeds the limit of 4096") as err:
+            cli.parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == line
+    assert peak < 1 << 20
+
+
+def test_main_rejects_invalid_utf8(capsys, tmp_path):
+    bad = tmp_path / "bad.pinlef"
+    bad.write_bytes(b"\xff\xfe[surface]\n")
+    assert cli.main(["decide", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: line 1: input is not valid UTF-8\n"
+    bad.write_bytes(b"[surface]\r\nkind = orientable\r\ngenus = 1\xe9\n")
+    assert cli.main(["decide", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: line 3: input is not valid UTF-8\n"

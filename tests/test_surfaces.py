@@ -308,3 +308,15 @@ def test_z4_classes_equal_on_klein():
 def test_z4_classes_equal_free_case():
     assert not P.z4_classes_equal(MOEBIUS, P.z4_class([2]), P.z4_class([0]))
     assert P.z4_classes_equal(MOEBIUS, P.z4_class([3]), P.z4_class([3]))
+
+
+def test_surface_rank_cap():
+    assert P.non_orientable_surface(4096, 1).z2_rank == 4096
+    for kind, count, boundary in (
+        ("non-orientable", 4097, 0),
+        ("orientable", 2048, 2),
+        ("orientable", 10**12, 0),
+        ("orientable", 1, 10**12),
+    ):
+        with pytest.raises(InputError, match="exceeds the limit of 4096"):
+            P.SurfaceModel(kind, count, boundary)

@@ -9,7 +9,8 @@ lines and lines starting with ``#`` are ignored.
 Commands:
 
 * ``decide``        verdicts, counts, annihilator dimension, certificates
-* ``enumerate``     every structure as a generator-value table
+* ``enumerate``     every structure as a generator-value table (refused
+                    above 2**20 structures of a kind)
 * ``oracle``        rerun the decision by exhaustive search, print AGREE
 * ``surface-info``  presentation, intersection form, relations, Pin+ flag
 
@@ -44,6 +45,10 @@ _KEY_RE = re.compile(r"^([A-Za-z0-9_-]+)\s*=\s*(.*)$")
 # int() also takes "+1", "1_0" and non-ASCII digits; documents may not.
 _INT_RE = re.compile(r"-?[0-9]+")
 _ORACLE_RANK_LIMIT = 20
+# enumerate prints one line per structure; beyond this many it refuses.
+_ENUMERATE_LIMIT = 1 << 20
+# Structure value rows are bytes 0..3; this turns them into ASCII digits.
+_DIGITS = bytes.maketrans(bytes(range(4)), b"0123")
 
 
 @dataclass(frozen=True)
@@ -525,28 +530,34 @@ def _run_enumerate(doc: InputDocument, kind: str, fmt: str) -> tuple[str, int]:
     lines: list[str] = []
     if fmt == "machine":
         lines += ["[report]", "command = enumerate", f"kind = {kind}"]
-    ok = True
-    for k in kinds:
-        report = _decide(doc, k)
-        rows = sorted(q.values for q in report.structures)
-        ok = ok and bool(rows)
-        gens = ",".join(pres.generators)
+    reports = {k: _decide(doc, k) for k in kinds}
+    for k, report in reports.items():
+        if report.structure_count > _ENUMERATE_LIMIT:
+            raise InputError(
+                f"enumerate refused: {report.structure_count} Pin{_sign(k)} "
+                f"structures exceed {_ENUMERATE_LIMIT}"
+            )
+    gens = ",".join(pres.generators)
+    for k, report in reports.items():
+        # The set yields its rows in lexicographic order already.
+        rows = (
+            ",".join(row.translate(_DIGITS).decode())
+            for row in report.structures.values()
+        )
+        count = report.structure_count
         if fmt == "machine":
             _extend_block(lines, [f"[structures.{k}]"], fmt)
-            lines.append(f"count = {len(rows)}")
+            lines.append(f"count = {count}")
             lines.append(f"generators = {gens}")
-            for row in rows:
-                lines.append("structure = " + ",".join(str(v) for v in row))
-            if not rows and report.certificate:
+            lines.extend("structure = " + row for row in rows)
+            if not count and report.certificate:
                 lines.append(f"certificate = {report.certificate}")
         else:
-            lines.append(
-                f"Pin{_sign(k)} structures ({len(rows)}) on generators {gens}:"
-            )
-            for row in rows:
-                lines.append("  " + ",".join(str(v) for v in row))
-            if not rows:
+            lines.append(f"Pin{_sign(k)} structures ({count}) on generators {gens}:")
+            lines.extend("  " + row for row in rows)
+            if not count:
                 lines.append(f"  none ({report.certificate})")
+    ok = all(report.exists for report in reports.values())
     return _join(lines), 0 if ok else 1
 
 
@@ -568,7 +579,7 @@ def _run_oracle(doc: InputDocument, kind: str, fmt: str) -> tuple[str, int]:
     for k in kinds:
         report = _decide(doc, k)
         brute = _brute(doc, k)
-        decided = {q.values for q in report.structures}
+        decided = set(map(tuple, report.structures.values()))
         exhaustive = {q.values for q in brute}
         agree = report.exists == bool(brute) and decided == exhaustive
         agree_all = agree_all and agree

@@ -10,8 +10,10 @@ a row combination y with y.C = 0 and y.A = 1.
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -22,20 +24,122 @@ if TYPE_CHECKING:
     from .lefschetz import ObstructionWitness
 
 
+_ENHANCEMENT = {"minus": sf.EnhancementMinus, "plus": sf.EnhancementPlus}
+
+
+def _pack(values) -> int:
+    """Generator values (each 0..3) as one int, a byte per generator, the
+    first generator most significant: int order is lexicographic order."""
+    return int.from_bytes(bytes(values), "big")
+
+
+@dataclass(frozen=True)
+class StructureSet:
+    """The solutions of a system, described without listing them.
+
+    Values are packed by ``_pack``.  ``first`` is the smallest structure
+    (None when there is none) and ``kernel`` the differences that span the
+    rest, in RREF order: each has its leading bit at a position where
+    ``first`` and every other kernel row are zero.  Structure i is
+    ``first`` XOR the kernel rows picked by the bits of i, the first row
+    being the most significant bit, so index order is lexicographic order
+    of the values.  The set holds one int per kernel dimension; it builds
+    enhancements only when indexed or iterated.
+    """
+
+    kind: str
+    surface: sf.SurfaceModel
+    first: int | None
+    kernel: tuple[int, ...] = ()
+
+    @property
+    def count(self) -> int:
+        return 0 if self.first is None else 1 << len(self.kernel)
+
+    def __len__(self) -> int:
+        n = self.count
+        if n > sys.maxsize:
+            raise OverflowError(
+                f"{n} structures are more than len() can report; use .count"
+            )
+        return n
+
+    def __bool__(self) -> bool:
+        return self.first is not None
+
+    def __getitem__(self, i) -> sf.EnhancementMinus | sf.EnhancementPlus:
+        i = operator.index(i)
+        n = self.count
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("structure index out of range")
+        packed = self.first
+        top = len(self.kernel) - 1
+        for j, row in enumerate(self.kernel):
+            if i >> (top - j) & 1:
+                packed ^= row
+        return self._structure(packed)
+
+    def __contains__(self, q) -> bool:
+        if (
+            self.first is None
+            or type(q) is not _ENHANCEMENT[self.kind]
+            or q.surface != self.surface
+        ):
+            return False
+        rest = _pack(q.values) ^ self.first
+        for row in self.kernel:
+            if rest >> (row.bit_length() - 1) & 1:
+                rest ^= row
+        return rest == 0
+
+    def __iter__(self) -> Iterator[sf.EnhancementMinus | sf.EnhancementPlus]:
+        return map(self._structure, self._packed())
+
+    def values(self) -> Iterator[bytes]:
+        """Each structure's generator values as a bytes row, one byte per
+        generator, in iteration order, without building the enhancements."""
+        r = self.surface.z2_rank
+        return (p.to_bytes(r, "big") for p in self._packed())
+
+    def _packed(self) -> Iterator[int]:
+        if self.first is None:
+            return
+        packed = self.first
+        yield packed
+        # From i - 1 to i the low t + 1 bits flip, t being the number of
+        # trailing zeros of i; steps[t] is the XOR of their kernel rows.
+        steps, acc = [], 0
+        for row in reversed(self.kernel):
+            acc ^= row
+            steps.append(acc)
+        for i in range(1, self.count):
+            packed ^= steps[(i & -i).bit_length() - 1]
+            yield packed
+
+    def _structure(self, packed: int) -> sf.EnhancementMinus | sf.EnhancementPlus:
+        values = tuple(packed.to_bytes(self.surface.z2_rank, "big"))
+        return _ENHANCEMENT[self.kind](self.surface, values)
+
+
 @dataclass(frozen=True)
 class DecisionReport:
     """Outcome of a Pin decision: verdict, count, structures, certificate.
 
     When structures exist, ``structure_count`` equals
-    2**h1_annihilator_dim and ``structures`` lists them all; otherwise
-    ``certificate`` explains why none exist (and for the minus kind
-    ``witness`` carries the dependent cycle family).
+    2**h1_annihilator_dim and ``structures`` is a lazy sequence of them
+    all in lexicographic order of their values: indexing, ``in`` and
+    iteration build only the structures asked for.  Otherwise
+    ``structures`` is empty and ``certificate`` explains why none exist
+    (and for the minus kind ``witness`` carries the dependent cycle
+    family).
     """
 
     kind: str
     exists: bool
     structure_count: int
-    structures: tuple
+    structures: StructureSet
     h1_annihilator_dim: int
     certificate: str | None = None
     witness: ObstructionWitness | None = None
@@ -64,7 +168,7 @@ class ConstraintSystem:
     target: int
 
     def decide(self, certify: Callable[[int, np.ndarray], tuple]) -> DecisionReport:
-        """Solve the system once; list every structure or certify a NO.
+        """Solve the system once; describe every structure or certify a NO.
 
         ``certify(rank, y)`` words a NO from rank(C) and the row
         combination y, returning (certificate, witness).
@@ -84,26 +188,28 @@ class ConstraintSystem:
         dim = C.shape[1] - rank
         if solution is None:
             certificate, witness = certify(rank, y)
-            return DecisionReport(self.kind, False, 0, (), dim, certificate, witness)
-        vectors = (v.tolist() for v in solution.enumerate_solutions())
-        if self.kind == "minus":
-            structures = tuple(
-                sf.EnhancementMinus(
-                    s, tuple((b + 2 * x) % 4 for b, x in zip(q0.values, vec))
-                )
-                for vec in vectors
+            return DecisionReport(
+                self.kind, False, 0, self._none(), dim, certificate, witness
             )
-        else:
-            # The plus base enhancement is zero on every generator.
-            structures = tuple(sf.EnhancementPlus(s, tuple(vec)) for vec in vectors)
-        return DecisionReport(self.kind, True, solution.count, structures, dim)
+        # A minus structure is q0 + 2x: x sits in bit 1 of each value byte,
+        # above q0's bit 0.  The plus base enhancement is zero everywhere.
+        shift = 1 if self.kind == "minus" else 0
+        first = _pack(q0.values) | _pack(solution.particular) << shift
+        kernel = tuple(_pack(k) << shift for k in solution.kernel_basis)
+        structures = StructureSet(self.kind, s, first, kernel)
+        return DecisionReport(self.kind, True, structures.count, structures, dim)
 
     def refuse(self, certificate: str) -> DecisionReport:
         """A NO settled before any system is solved, for a surface that
         carries no enhancement of this kind at all."""
         C = z2_matrix(self.surface, self.classes)
         rank, _, _ = fl.rref_gf2(C)
-        return DecisionReport(self.kind, False, 0, (), C.shape[1] - rank, certificate)
+        return DecisionReport(
+            self.kind, False, 0, self._none(), C.shape[1] - rank, certificate
+        )
+
+    def _none(self) -> StructureSet:
+        return StructureSet(self.kind, self.surface, None)
 
     def brute_force(self) -> list:
         """Every enhancement meeting the targets, by scanning all 2**rank."""

@@ -113,10 +113,8 @@ def _witness_from_combination(f: LefschetzFibration, rows_y) -> ObstructionWitne
     pres = sf.homology_presentation(f.fiber)
     support = [int(i) for i in np.nonzero(np.asarray(rows_y))[0]]
     lead, summands = support[0], tuple(support[1:])
-    pair = 0
-    for i, j in combinations(summands, 2):
-        pair += sf.pairing_mod2(pres, f.cycles[i].coords, f.cycles[j].coords)
-    return ObstructionWitness(lead, summands, pair % 2)
+    pair = sf.pairwise_parity_mod2(pres, [f.cycles[i].coords for i in summands])
+    return ObstructionWitness(lead, summands, pair)
 
 
 def decide_pin_minus(f: LefschetzFibration) -> DecisionReport:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -96,19 +96,28 @@ def non_orientable_surface(crosscaps: int, boundary: int = 0) -> SurfaceModel:
 
 @dataclass(frozen=True, eq=False)
 class HomologyPresentation:
-    """Generators, mod-2 intersection form, and Z4 relation rows."""
+    """Generators, mod-2 intersection form, and Z4 relation rows.
+
+    Each generator meets at most one other generator, so the form is also
+    kept as two O(r) tables for the evaluators: ``diagonal[i]`` is
+    e_i.e_i and ``partner[i]`` the one j != i with e_i.e_j = 1, or -1.
+    """
 
     generators: tuple[str, ...]
     z2_rank: int
     z2_intersection: np.ndarray  # (r, r) uint8, symmetric, read-only
     z4_relations: np.ndarray  # (m, r) uint8 residues mod 4, read-only
+    diagonal: tuple[int, ...]
+    partner: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return self.z2_rank
 
 
-@lru_cache(maxsize=None)
+# One entry holds the dense r x r form, up to 16 MiB at MAX_Z2_RANK, so the
+# cache is bounded.
+@lru_cache(maxsize=16)
 def homology_presentation(s: SurfaceModel) -> HomologyPresentation:
     """The fixed presentation of first homology attached to a surface model."""
     b = s.boundary_components
@@ -120,25 +129,27 @@ def homology_presentation(s: SurfaceModel) -> HomologyPresentation:
         for i in range(1, g + 1):
             labels += [f"a{i}", f"b{i}"]
         labels += [f"d{i}" for i in range(1, n_boundary + 1)]
-        form = np.zeros((r, r), dtype=np.uint8)
-        for i in range(g):
-            form[2 * i, 2 * i + 1] = 1
-            form[2 * i + 1, 2 * i] = 1
+        diagonal = (0,) * r
+        # a_i and b_i (indices 2i and 2i + 1) meet each other once.
+        partner = tuple(i ^ 1 for i in range(2 * g)) + (-1,) * n_boundary
         relations = np.zeros((0, r), dtype=np.uint8)
     else:
         k = s.genus_or_crosscaps
         labels = [f"e{i}" for i in range(1, k + 1)]
         labels += [f"d{i}" for i in range(1, n_boundary + 1)]
-        form = np.zeros((r, r), dtype=np.uint8)
-        for i in range(k):
-            form[i, i] = 1
+        diagonal = (1,) * k + (0,) * n_boundary
+        partner = (-1,) * r
         if b == 0:
             relations = np.full((1, r), 2, dtype=np.uint8)
         else:
             relations = np.zeros((0, r), dtype=np.uint8)
+    form = np.zeros((r, r), dtype=np.uint8)
+    form[np.arange(r), np.arange(r)] = diagonal
+    paired = [i for i in range(r) if partner[i] >= 0]
+    form[paired, [partner[i] for i in paired]] = 1
     form.flags.writeable = False
     relations.flags.writeable = False
-    return HomologyPresentation(tuple(labels), r, form, relations)
+    return HomologyPresentation(tuple(labels), r, form, relations, diagonal, partner)
 
 
 def pin_plus_obstruction(s: SurfaceModel) -> str | None:
@@ -197,15 +208,40 @@ def z2_reduction(x: HomologyClass) -> HomologyClass:
 
 def pairing_mod2(pres: HomologyPresentation, u, v) -> int:
     """Mod-2 intersection number of two coordinate vectors."""
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    return int(u @ pres.z2_intersection.astype(np.int64) @ v % 2)
+    v = [int(b) % 2 for b in v]
+    total = 0
+    for i, a in enumerate(u):
+        if int(a) % 2:
+            j = pres.partner[i]
+            total += pres.diagonal[i] * v[i] + (v[j] if j >= 0 else 0)
+    return total % 2
 
 
 def self_intersection_mod2(pres: HomologyPresentation, coords) -> int:
     """Mod-2 self-intersection of a class given by (Z2 or Z4) coordinates."""
     bits = [a % 2 for a in coords]
     return pairing_mod2(pres, bits, bits)
+
+
+def pairwise_parity_mod2(pres: HomologyPresentation, vectors) -> int:
+    """Parity of the sum of ``pairing_mod2`` over every pair of the vectors.
+
+    With B the 0/1 form over the integers and S the sum of the mod-2
+    reductions u_i, B(S, S) = sum_i B(u_i, u_i) + 2 sum_{i<j} B(u_i, u_j),
+    so one pass over the k vectors replaces the k(k - 1)/2 pairings.
+    """
+    bits = [[int(a) % 2 for a in v] for v in vectors]
+    total = _integer_square(pres, [sum(col) for col in zip(*bits)])
+    total -= sum(_integer_square(pres, u) for u in bits)
+    return total // 2 % 2
+
+
+def _integer_square(pres: HomologyPresentation, x) -> int:
+    """B(x, x) over the integers, for an integer coordinate vector x."""
+    return sum(
+        a * (d * a + (x[j] if j >= 0 else 0))
+        for a, d, j in zip(x, pres.diagonal, pres.partner)
+    )
 
 
 def z4_classes_equal(s: SurfaceModel, x: HomologyClass, y: HomologyClass) -> bool:
@@ -254,12 +290,12 @@ class EnhancementMinus:
             raise InputError(
                 f"expected {pres.z2_rank} generator values, got {len(self.values)}"
             )
-        for i, v in enumerate(self.values):
+        for v, d, label in zip(self.values, pres.diagonal, pres.generators):
             if not isinstance(v, int) or not 0 <= v < 4:
                 raise InputError(f"value {v!r} is not a residue mod 4")
-            if v % 2 != int(pres.z2_intersection[i, i]):
+            if v % 2 != d:
                 raise InvariantViolation(
-                    f"q({pres.generators[i]}) = {v} has the wrong parity; "
+                    f"q({label}) = {v} has the wrong parity; "
                     "generator values must match self-intersections mod 2"
                 )
 
@@ -291,10 +327,7 @@ class EnhancementPlus:
 
 def base_enhancement_minus(s: SurfaceModel) -> EnhancementMinus:
     """The default minus enhancement: q(e) = e.e in {0, 1} on each generator."""
-    pres = homology_presentation(s)
-    return EnhancementMinus(
-        s, tuple(int(pres.z2_intersection[i, i]) for i in range(pres.z2_rank))
-    )
+    return EnhancementMinus(s, homology_presentation(s).diagonal)
 
 
 def base_enhancement_plus(s: SurfaceModel) -> EnhancementPlus:
@@ -318,11 +351,13 @@ def eval_qminus(q: EnhancementMinus, x: HomologyClass) -> int:
     pres = homology_presentation(q.surface)
     if len(x.coords) != pres.z2_rank:
         raise InputError("class length does not match the surface's generators")
-    support = [i for i, a in enumerate(x.coords) if a]
-    total = sum(q.values[i] for i in support)
-    total += 2 * sum(
-        int(pres.z2_intersection[i, j]) for i, j in combinations(support, 2)
-    )
+    coords, partner = x.coords, pres.partner
+    total = 0
+    for i, a in enumerate(coords):
+        if a:
+            # Each pair i < j meeting once adds 2; count it from i.
+            j = partner[i]
+            total += q.values[i] + (2 * coords[j] if j > i else 0)
     return total % 4
 
 
@@ -330,12 +365,13 @@ def _eval_plus_raw(values, pres: HomologyPresentation, coords) -> int:
     # q(sum a_i g_i) = sum a_i q(g_i) + sum C(a_i,2) g_i.g_i
     #                + sum_{i<j} a_i a_j g_i.g_j  (mod 2)
     total = 0
-    for i, a in enumerate(coords):
-        a = int(a)
-        total += a * values[i] + (a * (a - 1) // 2) * int(pres.z2_intersection[i, i])
-    support = [i for i, a in enumerate(coords) if a]
-    for i, j in combinations(support, 2):
-        total += int(coords[i]) * int(coords[j]) * int(pres.z2_intersection[i, j])
+    for i, (a, value, d, j) in enumerate(
+        zip(coords, values, pres.diagonal, pres.partner)
+    ):
+        if a:
+            total += a * value + (a * (a - 1) // 2) * d
+            if j > i:
+                total += a * coords[j]
     return total % 2
 
 
@@ -343,7 +379,7 @@ def plus_relation_defect(q: EnhancementPlus) -> int:
     """Largest evaluation of q on a relation row; 0 means well defined."""
     pres = homology_presentation(q.surface)
     return max(
-        (_eval_plus_raw(q.values, pres, row) for row in pres.z4_relations),
+        (_eval_plus_raw(q.values, pres, row.tolist()) for row in pres.z4_relations),
         default=0,
     )
 

@@ -360,3 +360,17 @@ def test_main_rejects_invalid_utf8(capsys, tmp_path):
     bad.write_bytes(b"[surface]\r\nkind = orientable\r\ngenus = 1\xe9\n")
     assert cli.main(["decide", str(bad)]) == 2
     assert capsys.readouterr().err == "error: line 3: input is not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("args", [[], ["--kind", "minus", "--format", "machine"]])
+def test_enumerate_refuses_too_many_structures(capsys, tmp_path, args):
+    # The product fibration over genus 11 has 2**22 structures of each kind.
+    doc = tmp_path / "product.pinlef"
+    doc.write_text("[surface]\nkind = orientable\ngenus = 11\nboundary = 1\n")
+    assert cli.main(["enumerate", str(doc), *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: enumerate refused: 4194304 Pin")
+    assert err.endswith(f"structures exceed {1 << 20}\n")
+    assert cli.main(["decide", str(doc), *args]) == 0
+    assert "4194304" in capsys.readouterr().out

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import pinlef as P
 from pinlef import finite_linalg as fl
 from pinlef import lefschetz as lf
+from pinlef import surfaces as sf
 from pinlef import threefolds as tf
+from helpers import random_decomposition
 
 
 @pytest.fixture
@@ -85,3 +89,132 @@ def test_cases_cover_trivial_and_nontrivial_annihilators():
     assert {r.h1_annihilator_dim == 0 for r in yes} == {True, False}
     assert {r.kind for r in yes} == {"minus", "plus"}
 
+
+# ---------------------------------------------------------------------------
+# the lazy structure set
+# ---------------------------------------------------------------------------
+
+SMALL_FIBERS = [
+    TORUS,
+    P.orientable_surface(2, 1),
+    P.orientable_surface(3, 0),
+    P.orientable_surface(2, 3),
+    P.orientable_surface(4, 1),
+    MOEBIUS,
+    P.non_orientable_surface(3, 0),  # no Pin+
+    P.non_orientable_surface(5, 2),
+    P.non_orientable_surface(6, 1),
+    P.non_orientable_surface(8, 0),
+]
+
+
+def _random_fibration(rng, surface):
+    pres = P.homology_presentation(surface)
+    cycles, size = [], rng.randint(0, 4)
+    while len(cycles) < size:
+        coords = [rng.randrange(4) for _ in range(pres.z2_rank)]
+        if sf.self_intersection_mod2(pres, coords) == 0:
+            cycles.append(P.z4_class(coords))
+    return P.LefschetzFibration(surface, tuple(cycles))
+
+
+def _small_systems(seed):
+    """(report, brute force list, surface) for seeded systems of rank <= 8."""
+    rng = random.Random(seed)
+    out = []
+    for surface in SMALL_FIBERS:
+        for _ in range(2):
+            f = _random_fibration(rng, surface)
+            out.append((lf.decide_pin_minus(f), lf.brute_force_pin_minus(f), surface))
+            out.append((lf.decide_pin_plus(f), lf.brute_force_pin_plus(f), surface))
+    for genus in (1, 2, 3, 4):
+        d = random_decomposition(rng, genus)
+        minus = tf.solve_pin_minus_3mfd(d), tf.brute_force_pin_minus_3mfd(d)
+        plus = tf.decide_pin_plus_3mfd(d), tf.brute_force_pin_plus_3mfd(d)
+        out += [(*minus, d.boundary), (*plus, d.boundary)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_structure_set_order_indexing_and_membership(seed):
+    systems = _small_systems(seed)
+    assert {r.exists for r, _, _ in systems} == {True, False}
+    for report, brute, surface in systems:
+        s = report.structures
+        listed = list(s)
+        values = [q.values for q in listed]
+        assert values == sorted(values) == [tuple(v) for v in s.values()]
+        assert len(s) == s.count == report.structure_count == len(listed)
+        assert bool(s) is report.exists
+        for i in range(-len(listed), len(listed)):
+            assert s[i] == listed[i]
+        accepted = set(brute)
+        assert set(listed) == accepted
+        for q in sf.enumerate_enhancements(surface, report.kind):
+            assert (q in s) == (q in accepted)
+
+
+def test_structure_set_rejects_other_kinds_and_surfaces():
+    minus = lf.decide_pin_minus(_fibration(TORUS)).structures
+    plus = lf.decide_pin_plus(_fibration(TORUS)).structures
+    assert minus.count == plus.count == 4
+    assert P.EnhancementMinus(TORUS, (0, 2)) in minus
+    assert P.EnhancementPlus(TORUS, (0, 1)) in plus
+    assert P.EnhancementMinus(TORUS, (0, 2)) not in plus
+    assert P.EnhancementPlus(TORUS, (0, 1)) not in minus
+    assert P.EnhancementMinus(PUNCTURED_TORUS, (0, 2)) not in minus
+    assert P.EnhancementPlus(PUNCTURED_TORUS, (0, 1)) not in plus
+    assert (0, 2) not in minus
+
+
+def test_structure_set_bounds():
+    s = lf.decide_pin_minus(_fibration(TORUS, (1, 0))).structures
+    assert s.count == 2
+    for i in (2, -3, 10):
+        with pytest.raises(IndexError):
+            s[i]
+    empty = lf.decide_pin_minus(_fibration(MOEBIUS, (2,))).structures
+    assert len(empty) == 0 and not empty and list(empty) == []
+    with pytest.raises(IndexError):
+        empty[0]
+    huge = lf.decide_pin_plus(_fibration(P.orientable_surface(32, 1))).structures
+    assert huge.count == 2**64 and huge
+    with pytest.raises(OverflowError, match="use .count"):
+        len(huge)
+    assert huge[-1].values == (1,) * 64
+
+
+def test_reports_compare_and_hash_by_description():
+    f = _fibration(P.orientable_surface(2, 1), (1, 0, 0, 0))
+    for decide in (lf.decide_pin_minus, lf.decide_pin_plus):
+        a, b = decide(f), decide(f)
+        assert a == b and hash(a) == hash(b)
+    assert lf.decide_pin_minus(f) != lf.decide_pin_plus(f)
+
+
+@pytest.fixture
+def enhancements_built(monkeypatch):
+    """Counts enhancement constructions; fails past a small bound instead of
+    running on through an exponential listing."""
+    built = []
+    for cls in (sf.EnhancementMinus, sf.EnhancementPlus):
+        original = cls.__post_init__
+
+        def counted(self, original=original):
+            built.append(1)
+            assert len(built) <= 16, "structures are being listed"
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("decide", [lf.decide_pin_minus, lf.decide_pin_plus])
+def test_decide_does_not_build_the_structures(enhancements_built, decide):
+    report = decide(_fibration(P.orientable_surface(30, 1)))
+    assert report.exists
+    assert report.structure_count == 2**60
+    assert report.h1_annihilator_dim == 60
+    assert len(enhancements_built) <= 2
+    s = report.structures
+    assert s[0] in s and s[2**59] in s

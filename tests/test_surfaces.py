@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -320,3 +323,87 @@ def test_surface_rank_cap():
     ):
         with pytest.raises(InputError, match="exceeds the limit of 4096"):
             P.SurfaceModel(kind, count, boundary)
+
+
+# ---------------------------------------------------------------------------
+# the pairing tables against the dense form
+# ---------------------------------------------------------------------------
+
+TABLE_SURFACES = [
+    P.orientable_surface(3, 0),
+    P.orientable_surface(2, 3),
+    P.orientable_surface(0, 4),
+    P.non_orientable_surface(5, 0),
+    P.non_orientable_surface(4, 0),
+    P.non_orientable_surface(3, 2),
+]
+
+
+@pytest.mark.parametrize("surface", TABLE_SURFACES, ids=lambda s: s.describe())
+def test_pairing_tables_match_the_dense_form(surface):
+    rng = random.Random(surface.describe())
+    pres = P.homology_presentation(surface)
+    form = pres.z2_intersection.astype(np.int64)
+    r = pres.z2_rank
+    assert pres.diagonal == tuple(np.diagonal(form).tolist())
+    for i, j in enumerate(pres.partner):
+        off = [k for k in range(r) if k != i and form[i, k]]
+        assert off == ([j] if j >= 0 else [])
+    q_minus = P.EnhancementMinus(
+        surface, tuple(d + 2 * rng.randrange(2) for d in pres.diagonal)
+    )
+    q_plus = P.EnhancementPlus(surface, tuple(rng.randrange(2) for _ in range(r)))
+    for _ in range(40):
+        u = [rng.randrange(4) for _ in range(r)]
+        v = [rng.randrange(4) for _ in range(r)]
+        assert sf.pairing_mod2(pres, u, v) == int(np.array(u) @ form @ v) % 2
+        assert sf.self_intersection_mod2(pres, u) == int(np.array(u) @ form @ u) % 2
+        # Reference evaluations, summed over the dense form.
+        bits = [a % 2 for a in u]
+        support = [i for i in range(r) if bits[i]]
+        pairs = [(i, j) for i in support for j in support if i < j]
+        minus = sum(q_minus.values[i] for i in support)
+        minus += 2 * sum(int(form[i, j]) for i, j in pairs)
+        assert P.eval_qminus(q_minus, P.z2_class(bits)) == minus % 4
+        if not surface.closed or surface.kind == sf.ORIENTABLE:
+            plus = sum(
+                a * q + a * (a - 1) // 2 * int(form[i, i])
+                for i, (a, q) in enumerate(zip(u, q_plus.values))
+            )
+            plus += sum(
+                u[i] * u[j] * int(form[i, j]) for i in range(r) for j in range(i + 1, r)
+            )
+            assert P.eval_qplus(q_plus, P.z4_class(u)) == plus % 2
+
+
+@pytest.mark.parametrize("surface", TABLE_SURFACES, ids=lambda s: s.describe())
+def test_pairwise_parity_matches_every_pair(surface):
+    rng = random.Random("pairs:" + surface.describe())
+    pres = P.homology_presentation(surface)
+    r = pres.z2_rank
+    for k in range(8):
+        vectors = [[rng.randrange(4) for _ in range(r)] for _ in range(k)]
+        pairs = sum(
+            sf.pairing_mod2(pres, vectors[i], vectors[j])
+            for i in range(k)
+            for j in range(i + 1, k)
+        )
+        assert sf.pairwise_parity_mod2(pres, vectors) == pairs % 2
+
+
+def test_self_intersection_at_the_rank_cap_is_linear():
+    pres = P.homology_presentation(P.orientable_surface(2048, 0))
+    coords = (1, 3) * 2048
+    tracemalloc.start()
+    try:
+        value = sf.self_intersection_mod2(pres, coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 0
+    assert peak < 1 << 20
+
+
+def test_presentation_cache_is_bounded():
+    maxsize = P.homology_presentation.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0

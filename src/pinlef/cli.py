@@ -417,21 +417,21 @@ def _verdict_lines(report: lf.DecisionReport, fmt: str) -> list[str]:
 
 
 def _threefold_lines(d: tf.HandlebodyDecomposition3, fmt: str) -> list[str]:
-    rows = d.z2_class_matrix()
+    rows = [",".join(str(a % 2) for a in c.coords) for c in d.listed_classes()]
     labels = [f"a{j + 1}" for j in range(d.genus)] + [
         f"b{j + 1}" for j in range(d.genus)
     ]
     if fmt == "machine":
         lines = ["[threefold]", f"genus = {d.genus}"]
         for label, row in zip(labels, rows):
-            lines.append(f"row.{label} = " + ",".join(str(int(x)) for x in row))
+            lines.append(f"row.{label} = {row}")
         return lines
     lines = [
         f"threefold: genus {d.genus} (boundary {d.boundary.describe()})",
         "system rows mod 2 (attaching then belt):",
     ]
     for label, row in zip(labels, rows):
-        lines.append(f"  {label}: " + ",".join(str(int(x)) for x in row))
+        lines.append(f"  {label}: {row}")
     return lines
 
 
@@ -598,10 +598,24 @@ def _run_oracle(doc: InputDocument, kind: str, fmt: str) -> tuple[str, int]:
     return _join(lines), 0 if agree_all else 1
 
 
+def _form_rows(pres: sf.HomologyPresentation) -> list[str]:
+    """The intersection form's rows as comma-separated 0/1 text."""
+    out = []
+    for i, (d, j) in enumerate(zip(pres.diagonal, pres.partner)):
+        row = ["0"] * pres.z2_rank
+        row[i] = str(d)
+        if j >= 0:
+            row[j] = "1"
+        out.append(",".join(row))
+    return out
+
+
 def _run_surface_info(doc: InputDocument, fmt: str) -> tuple[str, int]:
     s = doc.surface
     pres = sf.homology_presentation(s)
     word = "genus" if s.kind == sf.ORIENTABLE else "crosscaps"
+    form = _form_rows(pres)
+    relations = [",".join(map(str, row)) for row in pres.relations]
     lines: list[str] = []
     if fmt == "machine":
         lines += [
@@ -612,13 +626,10 @@ def _run_surface_info(doc: InputDocument, fmt: str) -> tuple[str, int]:
             f"z2_rank = {pres.z2_rank}",
             f"generators = {','.join(pres.generators)}",
         ]
-        for label, row in zip(pres.generators, pres.z2_intersection):
-            lines.append(
-                f"intersection.{label} = " + ",".join(str(int(x)) for x in row)
-            )
-        if pres.z4_relations.shape[0]:
-            for row in pres.z4_relations:
-                lines.append("relation = " + ",".join(str(int(x)) for x in row))
+        for label, row in zip(pres.generators, form):
+            lines.append(f"intersection.{label} = {row}")
+        if relations:
+            lines.extend("relation = " + row for row in relations)
         else:
             lines.append("relations = none")
         lines.append(f"pin_plus = {_yesno(sf.pin_plus_exists_surface(s))}")
@@ -627,12 +638,11 @@ def _run_surface_info(doc: InputDocument, fmt: str) -> tuple[str, int]:
     lines.append(f"z2 rank: {pres.z2_rank}")
     lines.append(f"generators: {','.join(pres.generators)}")
     lines.append("intersection form mod 2:")
-    for label, row in zip(pres.generators, pres.z2_intersection):
-        lines.append(f"  {label}: " + ",".join(str(int(x)) for x in row))
-    if pres.z4_relations.shape[0]:
+    for label, row in zip(pres.generators, form):
+        lines.append(f"  {label}: {row}")
+    if relations:
         lines.append("z4 relation rows:")
-        for row in pres.z4_relations:
-            lines.append("  " + ",".join(str(int(x)) for x in row))
+        lines.extend("  " + row for row in relations)
     else:
         lines.append("z4 relation rows: none")
     obstruction = sf.pin_plus_obstruction(s)

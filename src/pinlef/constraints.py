@@ -15,12 +15,12 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
-import numpy as np
-
 from . import finite_linalg as fl
 from . import surfaces as sf
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .lefschetz import ObstructionWitness
 
 
@@ -145,11 +145,21 @@ class DecisionReport:
     witness: ObstructionWitness | None = None
 
 
+def z2_rows(surface: sf.SurfaceModel, classes) -> fl.BitRows:
+    """Mod-2 reductions of the classes, one packed row per class."""
+    return fl.BitRows(
+        tuple(fl.pack_bits(c.coords) for c in classes), surface.z2_rank
+    )
+
+
 def z2_matrix(surface: sf.SurfaceModel, classes) -> np.ndarray:
-    """Mod-2 reductions of the classes, one row per class."""
-    rank = sf.homology_presentation(surface).z2_rank
-    rows = np.array([c.coords for c in classes], dtype=np.uint8) % 2
-    return fl.mat_gf2(rows.reshape(len(classes), rank))
+    """Mod-2 reductions of the classes as a read-only array, one row per class."""
+    return z2_rows(surface, classes).to_array()
+
+
+def _spread(x: int, width: int) -> int:
+    """A bit row as a ``_pack``ed value row: each bit becomes a byte."""
+    return int.from_bytes(fl.unpack_bits(x, width), "big")
 
 
 def rank_mismatch(rank: int, reason: str) -> str:
@@ -167,11 +177,12 @@ class ConstraintSystem:
     classes: tuple[sf.HomologyClass, ...]
     target: int
 
-    def decide(self, certify: Callable[[int, np.ndarray], tuple]) -> DecisionReport:
+    def decide(self, certify: Callable[[int, list[int]], tuple]) -> DecisionReport:
         """Solve the system once; describe every structure or certify a NO.
 
-        ``certify(rank, y)`` words a NO from rank(C) and the row
-        combination y, returning (certificate, witness).
+        ``certify(rank, y)`` words a NO from rank(C) and the indices y of
+        the rows that sum to zero while their targets sum to one,
+        returning (certificate, witness).
         """
         s = self.surface
         if self.kind == "minus":
@@ -183,29 +194,30 @@ class ConstraintSystem:
         else:
             q0 = sf.base_enhancement_plus(s)
             rhs = [(self.target + sf.eval_qplus(q0, c)) % 2 for c in self.classes]
-        C = z2_matrix(s, self.classes)
-        rank, solution, y = fl.eliminate_affine_gf2(C, fl.vec_gf2(rhs))
-        dim = C.shape[1] - rank
-        if solution is None:
-            certificate, witness = certify(rank, y)
+        C = z2_rows(s, self.classes)
+        rank, particular, kernel, y = fl.eliminate_bits(C, rhs)
+        n, r = C.shape
+        dim = r - rank
+        if particular is None:
+            certificate, witness = certify(rank, fl.set_columns(y, n))
             return DecisionReport(
                 self.kind, False, 0, self._none(), dim, certificate, witness
             )
         # A minus structure is q0 + 2x: x sits in bit 1 of each value byte,
         # above q0's bit 0.  The plus base enhancement is zero everywhere.
         shift = 1 if self.kind == "minus" else 0
-        first = _pack(q0.values) | _pack(solution.particular) << shift
-        kernel = tuple(_pack(k) << shift for k in solution.kernel_basis)
+        first = _pack(q0.values) | _spread(particular, r) << shift
+        kernel = tuple(_spread(k, r) << shift for k in kernel)
         structures = StructureSet(self.kind, s, first, kernel)
         return DecisionReport(self.kind, True, structures.count, structures, dim)
 
     def refuse(self, certificate: str) -> DecisionReport:
         """A NO settled before any system is solved, for a surface that
         carries no enhancement of this kind at all."""
-        C = z2_matrix(self.surface, self.classes)
+        C = z2_rows(self.surface, self.classes)
         rank, _, _ = fl.rref_gf2(C)
         return DecisionReport(
-            self.kind, False, 0, self._none(), C.shape[1] - rank, certificate
+            self.kind, False, 0, self._none(), C.ncols - rank, certificate
         )
 
     def _none(self) -> StructureSet:

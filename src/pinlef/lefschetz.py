@@ -21,15 +21,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import finite_linalg as fl
 from . import surfaces as sf
 from .charclasses import EmbeddedSurfaceData
-from .constraints import ConstraintSystem, DecisionReport, rank_mismatch, z2_matrix
+from .constraints import (
+    ConstraintSystem,
+    DecisionReport,
+    rank_mismatch,
+    z2_matrix,
+    z2_rows,
+)
 from .errors import InputError, InvariantViolation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -109,9 +116,8 @@ def fibration_h1_annihilator(f: LefschetzFibration) -> list[np.ndarray]:
     return fl.annihilator_gf2(f.z2_cycle_matrix())
 
 
-def _witness_from_combination(f: LefschetzFibration, rows_y) -> ObstructionWitness:
+def _witness_from_combination(f: LefschetzFibration, support) -> ObstructionWitness:
     pres = sf.homology_presentation(f.fiber)
-    support = [int(i) for i in np.nonzero(np.asarray(rows_y))[0]]
     lead, summands = support[0], tuple(support[1:])
     pair = sf.pairwise_parity_mod2(pres, [f.cycles[i].coords for i in summands])
     return ObstructionWitness(lead, summands, pair)
@@ -160,14 +166,14 @@ def pin_minus_witness_search(f: LefschetzFibration) -> ObstructionWitness | None
     A witness exists if and only if the fibration has no Pin- structure.
     """
     pres = sf.homology_presentation(f.fiber)
-    rows = f.z2_cycle_matrix()
+    rows = z2_rows(f.fiber, f.cycles).rows
     n = len(f.cycles)
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):
-            total = np.zeros(pres.z2_rank, dtype=np.uint8)
+            total = 0
             for i in subset:
                 total ^= rows[i]
-            if total.any():
+            if total:
                 continue
             pair = 0
             for i, j in combinations(subset, 2):

@@ -31,18 +31,20 @@ sets are torsors over mod-2 cohomology via :func:`act_h1`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import finite_linalg as fl
 from .errors import InputError, InvariantViolation
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ORIENTABLE = "orientable"
 NON_ORIENTABLE = "non-orientable"
-# Largest mod-2 homology rank a surface model may have.  The presentation
-# is dense, so this bounds its r x r intersection form to 16 MiB.
+# Largest mod-2 homology rank a surface model may have.  It bounds the
+# dense r x r form that the array view z2_intersection builds to 16 MiB.
 MAX_Z2_RANK = 4096
 
 
@@ -98,31 +100,58 @@ def non_orientable_surface(crosscaps: int, boundary: int = 0) -> SurfaceModel:
 class HomologyPresentation:
     """Generators, mod-2 intersection form, and Z4 relation rows.
 
-    Each generator meets at most one other generator, so the form is also
-    kept as two O(r) tables for the evaluators: ``diagonal[i]`` is
-    e_i.e_i and ``partner[i]`` the one j != i with e_i.e_j = 1, or -1.
+    Each generator meets at most one other generator, so the form is kept
+    as two O(r) tables: ``diagonal[i]`` is e_i.e_i and ``partner[i]`` the
+    one j != i with e_i.e_j = 1, or -1.  ``relations`` holds the Z4
+    relation rows as tuples.  The numpy views ``z2_intersection`` (the
+    dense r x r form) and ``z4_relations`` are built from these on first
+    access; nothing in the deciders or the command line reads them.
     """
 
     generators: tuple[str, ...]
     z2_rank: int
-    z2_intersection: np.ndarray  # (r, r) uint8, symmetric, read-only
-    z4_relations: np.ndarray  # (m, r) uint8 residues mod 4, read-only
     diagonal: tuple[int, ...]
     partner: tuple[int, ...]
+    relations: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
         return self.z2_rank
 
+    @cached_property
+    def z2_intersection(self) -> np.ndarray:
+        """The (r, r) symmetric read-only uint8 intersection form."""
+        import numpy as np
 
-# One entry holds the dense r x r form, up to 16 MiB at MAX_Z2_RANK, so the
-# cache is bounded.
+        r = self.z2_rank
+        form = np.zeros((r, r), dtype=np.uint8)
+        form[np.arange(r), np.arange(r)] = self.diagonal
+        paired = [i for i in range(r) if self.partner[i] >= 0]
+        form[paired, [self.partner[i] for i in paired]] = 1
+        form.flags.writeable = False
+        return form
+
+    @cached_property
+    def z4_relations(self) -> np.ndarray:
+        """The (m, r) read-only uint8 relation rows, residues mod 4."""
+        import numpy as np
+
+        rows = np.array(self.relations, dtype=np.uint8)
+        rows = rows.reshape(len(self.relations), self.z2_rank)
+        rows.flags.writeable = False
+        return rows
+
+
+# Presentations hold O(r) tables, but a caller of the array views keeps the
+# dense form alive with its entry (16 MiB at MAX_Z2_RANK), so the cache is
+# bounded.
 @lru_cache(maxsize=16)
 def homology_presentation(s: SurfaceModel) -> HomologyPresentation:
     """The fixed presentation of first homology attached to a surface model."""
     b = s.boundary_components
     n_boundary = max(b - 1, 0)
     r = s.z2_rank
+    relations = ()
     if s.kind == ORIENTABLE:
         g = s.genus_or_crosscaps
         labels = []
@@ -132,7 +161,6 @@ def homology_presentation(s: SurfaceModel) -> HomologyPresentation:
         diagonal = (0,) * r
         # a_i and b_i (indices 2i and 2i + 1) meet each other once.
         partner = tuple(i ^ 1 for i in range(2 * g)) + (-1,) * n_boundary
-        relations = np.zeros((0, r), dtype=np.uint8)
     else:
         k = s.genus_or_crosscaps
         labels = [f"e{i}" for i in range(1, k + 1)]
@@ -140,16 +168,8 @@ def homology_presentation(s: SurfaceModel) -> HomologyPresentation:
         diagonal = (1,) * k + (0,) * n_boundary
         partner = (-1,) * r
         if b == 0:
-            relations = np.full((1, r), 2, dtype=np.uint8)
-        else:
-            relations = np.zeros((0, r), dtype=np.uint8)
-    form = np.zeros((r, r), dtype=np.uint8)
-    form[np.arange(r), np.arange(r)] = diagonal
-    paired = [i for i in range(r) if partner[i] >= 0]
-    form[paired, [partner[i] for i in paired]] = 1
-    form.flags.writeable = False
-    relations.flags.writeable = False
-    return HomologyPresentation(tuple(labels), r, form, relations, diagonal, partner)
+            relations = ((2,) * r,)
+    return HomologyPresentation(tuple(labels), r, diagonal, partner, relations)
 
 
 def pin_plus_obstruction(s: SurfaceModel) -> str | None:
@@ -379,7 +399,7 @@ def plus_relation_defect(q: EnhancementPlus) -> int:
     """Largest evaluation of q on a relation row; 0 means well defined."""
     pres = homology_presentation(q.surface)
     return max(
-        (_eval_plus_raw(q.values, pres, row.tolist()) for row in pres.z4_relations),
+        (_eval_plus_raw(q.values, pres, row) for row in pres.relations),
         default=0,
     )
 

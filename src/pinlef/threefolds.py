@@ -16,12 +16,14 @@ classes followed by the belt classes (reports keep this row order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import surfaces as sf
 from .constraints import ConstraintSystem, DecisionReport, rank_mismatch, z2_matrix
 from .errors import InputError, InvalidDecomposition, InvariantViolation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def solve_pin_minus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:
     def certify(rank, y):
         names = ", ".join(
             (f"a{i + 1}" if i < d.genus else f"b{i - d.genus + 1}")
-            for i in np.nonzero(y)[0]
+            for i in y
         )
         return (
             "no enhancement vanishes on all listed classes; "

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pinlef as P
 from pinlef import cli
@@ -374,3 +383,75 @@ def test_enumerate_refuses_too_many_structures(capsys, tmp_path, args):
     assert err.endswith(f"structures exceed {1 << 20}\n")
     assert cli.main(["decide", str(doc), *args]) == 0
     assert "4194304" in capsys.readouterr().out
+
+
+def test_cli_never_imports_numpy(tmp_path):
+    # A fresh process: the test session itself has numpy loaded.
+    threefold = tmp_path / "threefold.pinlef"
+    threefold.write_text(THREEFOLD_TEXT)
+    script = f"""
+import sys
+from pinlef import cli
+files = [str(cli.bundled_example(n))
+         for n in ("rp4.pinlef", "s2xrp2.pinlef", "s2xtrp2.pinlef")]
+files.append({str(threefold)!r})
+for f in files:
+    for command in ("decide", "enumerate", "oracle", "surface-info"):
+        for fmt in ("text", "machine"):
+            assert cli.main([command, f, "--format", fmt]) in (0, 1)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+assert not loaded, loaded
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_EXAMPLE_LINES = [
+    cli.bundled_example(name).read_text().splitlines()
+    for name in ("rp4.pinlef", "s2xrp2.pinlef", "s2xtrp2.pinlef")
+] + [THREEFOLD_TEXT.splitlines(), SPHERE_TEXT.splitlines()]
+
+
+@st.composite
+def _mutated_example(draw):
+    """A bundled example with one line replaced, deleted or duplicated."""
+    lines = list(draw(st.sampled_from(_EXAMPLE_LINES)))
+    i = draw(st.integers(0, len(lines) - 1))
+    action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    if action == "replace":
+        lines[i] = draw(st.text(max_size=30))
+    elif action == "delete":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return "\n".join(lines).encode("utf-8")
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.text(max_size=200).map(lambda t: t.encode("utf-8")),
+        _mutated_example(),
+    ),
+    st.sampled_from(["decide", "enumerate", "oracle", "surface-info"]),
+    st.sampled_from(["text", "machine"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_main_survives_arbitrary_input(data, command, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "doc.pinlef"
+        doc.write_bytes(data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ) as err:
+            status = cli.main([command, str(doc), "--format", fmt])
+    assert status in (0, 1, 2)
+    assert (status == 2) == err.getvalue().startswith("error: ")

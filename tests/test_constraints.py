@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -218,3 +219,18 @@ def test_decide_does_not_build_the_structures(enhancements_built, decide):
     assert len(enhancements_built) <= 2
     s = report.structures
     assert s[0] in s and s[2**59] in s
+
+
+def test_large_product_decides_in_little_memory():
+    # Rank 500: the elimination works on packed rows, so no dense matrix or
+    # per-entry copy is made.
+    f = _fibration(P.orientable_surface(250, 1))
+    tracemalloc.start()
+    try:
+        report = lf.decide_pin_minus(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.exists
+    assert report.h1_annihilator_dim == 500
+    assert peak < 2 << 20

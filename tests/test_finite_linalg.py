@@ -265,3 +265,123 @@ def test_input_validation():
     frozen = fl.mat_gf2([[1, 0]])
     with pytest.raises(ValueError):
         frozen[0, 0] = 0
+
+
+# ---------------------------------------------------------------------------
+# packed rows
+# ---------------------------------------------------------------------------
+
+
+def bit_rows(max_rows=6, max_cols=8):
+    """(rows, ncols) with zero rows and zero columns allowed."""
+    return st.integers(0, max_rows).flatmap(
+        lambda r: st.integers(0, max_cols).flatmap(
+            lambda c: st.tuples(
+                st.lists(
+                    st.lists(bits, min_size=c, max_size=c), min_size=r, max_size=r
+                ),
+                st.just(c),
+            )
+        )
+    )
+
+
+def _reference_rref(rows, ncols):
+    """Textbook Gauss-Jordan on lists: first row with a 1 in the leftmost
+    column still open becomes the pivot row."""
+    work = [list(row) for row in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        hit = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if hit is None:
+            continue
+        work[r], work[hit] = work[hit], work[r]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                work[i] = [a ^ b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return r, work, pivots
+
+
+@given(bit_rows())
+def test_packed_rref_matches_array_rref(data):
+    rows, ncols = data
+    rank, reduced, pivots = _reference_rref(rows, ncols)
+    packed = fl.BitRows(tuple(fl.pack_bits(row) for row in rows), ncols)
+    p_rank, p_reduced, p_pivots = fl.rref_gf2(packed)
+    assert isinstance(p_reduced, fl.BitRows)
+    assert p_reduced.shape == packed.shape
+    assert (p_rank, p_pivots) == (rank, pivots)
+    assert [fl.unpack_bits(x, ncols) for x in p_reduced.rows] == [
+        bytes(row) for row in reduced
+    ]
+    array = np.array(rows, dtype=np.uint8).reshape(len(rows), ncols)
+    a_rank, a_reduced, a_pivots = fl.rref_gf2(array)
+    assert (a_rank, a_pivots) == (rank, pivots)
+    assert a_reduced.shape == array.shape
+    assert a_reduced.tolist() == reduced
+
+
+@pytest.mark.parametrize("ncols", [0, 1, 4096])
+def test_bit_packing_round_trips(ncols):
+    rng = random.Random(ncols)
+    rows = [[0] * ncols, [1] * ncols, [rng.randint(0, 1) for _ in range(ncols)]]
+    for row in rows:
+        x = fl.pack_bits(row)
+        assert 0 <= x < 2**ncols
+        assert fl.unpack_bits(x, ncols) == bytes(row)
+        assert fl.pack_bits(fl.unpack_bits(x, ncols)) == x
+    m = fl.BitRows.from_array(np.array(rows, dtype=np.uint8).reshape(3, ncols))
+    assert m.shape == (3, ncols)
+    assert m.to_array().tolist() == rows
+    assert fl.BitRows.from_array(m.to_array()) == m
+
+
+def test_bit_packing_order_and_parity():
+    # The first column is the most significant bit; residues pack by parity.
+    assert fl.pack_bits([1, 0, 0]) == 0b100
+    assert fl.pack_bits((3, 2, 1, 0)) == 0b1010
+    assert fl.pack_bits(b"\x01\x01") == 0b11
+    assert fl.set_columns(0b1011, 5) == [1, 3, 4]
+    assert fl.set_columns(0, 0) == []
+
+
+def test_bit_rows_shape():
+    assert fl.BitRows((), 5).shape == (0, 5)
+    assert fl.BitRows((0b10, 0b01, 0b11), 2).shape == (3, 2)
+    empty = fl.BitRows.from_array(np.zeros((0, 3), dtype=np.uint8))
+    assert empty.shape == (0, 3)
+    assert empty.to_array().shape == (0, 3)
+    assert fl.rref_gf2(empty) == (0, empty, [])
+    with pytest.raises(InputError):
+        fl.BitRows.from_array([[0, 2]])
+    with pytest.raises(InputError):
+        fl.eliminate_bits(fl.BitRows((0b1,), 1), [])
+
+
+@given(bit_matrices(max_rows=4, max_cols=5), st.lists(bits, min_size=4, max_size=4))
+@settings(max_examples=150)
+def test_packed_eliminate_certifies_unsolvable_systems(mat, rhs):
+    # The same systems as test_solve_matches_exhaustive_search.
+    rows = len(mat)
+    rhs = (rhs + [0] * rows)[:rows]
+    cols = len(mat[0])
+    solvable = any(
+        all(sum(a * b for a, b in zip(row, x)) % 2 == t for row, t in zip(mat, rhs))
+        for x in product((0, 1), repeat=cols)
+    )
+    C = fl.BitRows(tuple(fl.pack_bits(row) for row in mat), cols)
+    rank, particular, kernel, y = fl.eliminate_bits(C, rhs)
+    assert rank == fl.rref_gf2(C)[0]
+    if solvable:
+        assert y is None and particular is not None
+        assert len(kernel) == cols - rank
+        return
+    assert particular is None and kernel == ()
+    picked = fl.set_columns(y, rows)
+    combination = 0
+    for i in picked:
+        combination ^= C.rows[i]
+    assert combination == 0  # y.C = 0
+    assert sum(rhs[i] for i in picked) % 2 == 1  # y.A = 1

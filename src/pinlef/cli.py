@@ -14,6 +14,11 @@ Commands:
 * ``oracle``        rerun the decision by exhaustive search, print AGREE
 * ``surface-info``  presentation, intersection form, relations, Pin+ flag
 
+Both ``--format`` values render the same ordered report sections: ``text``
+as prose lines, ``machine`` as ``[name]`` headers over ``key = value``
+lines.  ``pinlef`` streams its report line by line, after every input error
+has been raised, so a long ``enumerate`` listing is never held whole.
+
 Exit status: 0 when every requested structure exists (or the oracle
 agrees), 1 otherwise, 2 on input errors.  Reports are byte-deterministic
 for identical inputs.
@@ -22,11 +27,14 @@ for identical inputs.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import surfaces as sf
 from . import lefschetz as lf
@@ -39,7 +47,16 @@ from .charclasses import (
 )
 from .errors import InputError, ParseError, PinlefError
 
-_SECTIONS = ("surface", "cycles", "threefold", "embedded-surface")
+# Each section and the keys it takes once.  [cycles] holds residue rows only;
+# the threefold's attach and belt keys are repeatable rows, read apart.
+_KEYS = {
+    "surface": ("kind", "genus", "crosscaps", "boundary"),
+    "cycles": (),
+    "threefold": ("genus",),
+    "embedded-surface": (
+        "euler", "self_intersection", "cup", "w1sq_surface", "w1sq_normal"
+    ),
+}
 _SECTION_RE = re.compile(r"^\[([a-z-]+)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z0-9_-]+)\s*=\s*(.*)$")
 # int() also takes "+1", "1_0" and non-ASCII digits; documents may not.
@@ -94,13 +111,11 @@ def parse(text: str) -> InputDocument:
             unknown sections or keys, wrong arity, out-of-range residues,
             or a missing surface block.
     """
-    surface_kv: dict[str, tuple[str, int]] = {}
+    pairs: dict[str, dict[str, tuple[str, int]]] = {"surface": {}, "threefold": {}}
     cycles_rows: list[tuple[list[int], int]] = []
     seen: dict[str, int] = {}
-    three_kv: dict[str, tuple[str, int]] = {}
     three_rows: dict[str, list[tuple[list[int], int]]] = {"attach": [], "belt": []}
-    embedded: list[dict[str, tuple[str, int]]] = []
-    embedded_lines: list[int] = []
+    embedded: list[tuple[dict[str, tuple[str, int]], int]] = []
     section: str | None = None
     last_line = 0
 
@@ -112,14 +127,13 @@ def parse(text: str) -> InputDocument:
         m = _SECTION_RE.match(line)
         if m:
             name = m.group(1)
-            if name not in _SECTIONS:
+            if name not in _KEYS:
                 raise ParseError(lineno, f"unknown section [{name}]")
             if name != "embedded-surface" and name in seen:
                 raise ParseError(lineno, f"duplicate section [{name}]")
             seen[name] = lineno
             if name == "embedded-surface":
-                embedded.append({})
-                embedded_lines.append(lineno)
+                embedded.append(({}, lineno))
             section = name
             continue
         if section is None:
@@ -133,38 +147,20 @@ def parse(text: str) -> InputDocument:
         if not m:
             raise ParseError(lineno, f"expected 'key = value', got {line!r}")
         key, value = m.group(1), m.group(2).strip()
-        if section == "surface":
-            if key not in ("kind", "genus", "crosscaps", "boundary"):
-                raise ParseError(lineno, f"unknown surface key {key!r}")
-            if key in surface_kv:
-                raise ParseError(lineno, f"duplicate surface key {key!r}")
-            surface_kv[key] = (value, lineno)
-        elif section == "threefold":
-            if key == "genus":
-                if key in three_kv:
-                    raise ParseError(lineno, "duplicate threefold key 'genus'")
-                three_kv[key] = (value, lineno)
-            elif key in ("attach", "belt"):
-                three_rows[key].append((_parse_row(value, lineno), lineno))
-            else:
-                raise ParseError(lineno, f"unknown threefold key {key!r}")
-        else:  # embedded-surface
-            if key not in (
-                "euler",
-                "self_intersection",
-                "cup",
-                "w1sq_surface",
-                "w1sq_normal",
-            ):
-                raise ParseError(lineno, f"unknown embedded-surface key {key!r}")
-            if key in embedded[-1]:
-                raise ParseError(lineno, f"duplicate embedded-surface key {key!r}")
-            embedded[-1][key] = (value, lineno)
+        if section == "threefold" and key in three_rows:
+            three_rows[key].append((_parse_row(value, lineno), lineno))
+            continue
+        if key not in _KEYS[section]:
+            raise ParseError(lineno, f"unknown {section} key {key!r}")
+        kv = embedded[-1][0] if section == "embedded-surface" else pairs[section]
+        if key in kv:
+            raise ParseError(lineno, f"duplicate {section} key {key!r}")
+        kv[key] = (value, lineno)
 
     if "surface" not in seen:
         raise ParseError(last_line or 1, "missing surface block")
 
-    surface = _build_surface(surface_kv, seen["surface"])
+    surface = _build_surface(pairs["surface"], seen["surface"])
     pres = sf.homology_presentation(surface)
 
     cycles: tuple[sf.HomologyClass, ...] | None = None
@@ -185,13 +181,13 @@ def parse(text: str) -> InputDocument:
     threefold = None
     if "threefold" in seen:
         threefold = _build_threefold(
-            three_kv, three_rows, surface, seen["threefold"]
+            pairs["threefold"], three_rows, surface, seen["threefold"]
         )
 
     blocks = []
-    for idx, (kv, block_line) in enumerate(zip(embedded, embedded_lines)):
+    for idx, (kv, block_line) in enumerate(embedded):
         fields = {}
-        for key in ("euler", "self_intersection", "cup", "w1sq_surface", "w1sq_normal"):
+        for key in _KEYS["embedded-surface"]:
             if key not in kv:
                 raise ParseError(
                     block_line, f"embedded-surface block {idx + 1} is missing {key!r}"
@@ -291,7 +287,8 @@ def _build_threefold(
 
 
 def serialize(doc: InputDocument) -> str:
-    """Canonical text for a document; ``parse(serialize(doc)) == doc``."""
+    """Canonical text for a document; ``parse(serialize(doc)) == doc``.
+    Cycles on a surface of z2 rank 0 have no residue row: InputError."""
     out = ["[surface]"]
     s = doc.surface
     out.append(f"kind = {s.kind}")
@@ -299,6 +296,8 @@ def serialize(doc: InputDocument) -> str:
     out.append(f"{word} = {s.genus_or_crosscaps}")
     out.append(f"boundary = {s.boundary_components}")
     if doc.cycles is not None:
+        if doc.cycles and not s.z2_rank:
+            raise InputError("a cycle on a surface of z2 rank 0 has no residue row")
         out += ["", "[cycles]"]
         for c in doc.cycles:
             out.append(",".join(str(a) for a in c.coords))
@@ -373,210 +372,179 @@ def _brute(doc: InputDocument, kind: str) -> list:
     return lf.brute_force_pin_minus(f)
 
 
-def _surface_lines(doc: InputDocument, fmt: str) -> list[str]:
-    s = doc.surface
-    pres = sf.homology_presentation(s)
-    word = "genus" if s.kind == sf.ORIENTABLE else "crosscaps"
-    if fmt == "machine":
-        return [
-            "[surface]",
-            f"kind = {s.kind}",
-            f"{word} = {s.genus_or_crosscaps}",
-            f"boundary = {s.boundary_components}",
-            f"z2_rank = {pres.z2_rank}",
-            f"pin_plus = {_yesno(sf.pin_plus_exists_surface(s))}",
-        ]
-    return [f"surface: {s.describe()} (z2 rank {pres.z2_rank})"]
-
-
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _verdict_lines(report: lf.DecisionReport, fmt: str) -> list[str]:
-    sign = _sign(report.kind)
+@dataclass(frozen=True)
+class _Section:
+    """A report section: ``--format machine`` prints ``[name]`` and its
+    ``key = value`` pairs, ``--format text`` prints its text lines.  Both
+    may be lazy; only the one rendered is consumed."""
+
+    name: str
+    pairs: Iterable[tuple[str, object]]
+    text: Iterable[str] = ()
+
+
+def _render(sections: list[_Section], fmt: str) -> Iterator[str]:
+    """The report's lines, without line ends."""
     if fmt == "machine":
-        lines = [
-            f"[verdict.{report.kind}]",
-            f"exists = {_yesno(report.exists)}",
-            f"structure_count = {report.structure_count}",
-            f"annihilator_dim = {report.h1_annihilator_dim}",
-        ]
-        if report.certificate:
-            lines.append(f"certificate = {report.certificate}")
-        return lines
-    if report.exists:
-        return [
-            f"Pin{sign}: YES ({report.structure_count} structures; "
-            f"annihilator dim {report.h1_annihilator_dim})"
-        ]
+        return chain.from_iterable(_machine_lines(s, i) for i, s in enumerate(sections))
+    return chain.from_iterable(section.text for section in sections)
+
+
+def _machine_lines(section: _Section, index: int) -> Iterator[str]:
+    if index:  # one blank line between sections, like the input
+        yield ""
+    yield f"[{section.name}]"
+    for key, value in section.pairs:
+        yield f"{key} = {value}"
+
+
+def _header(command: str, kind: str, *pairs: tuple[str, object]) -> _Section:
+    return _Section("report", [("command", command), ("kind", kind), *pairs])
+
+
+def _surface_pairs(s: sf.SurfaceModel, *extra: tuple[str, object]) -> list:
+    """Shared by decide and surface-info; ``extra`` goes before pin_plus."""
+    word = "genus" if s.kind == sf.ORIENTABLE else "crosscaps"
     return [
-        f"Pin{sign}: NO (annihilator dim {report.h1_annihilator_dim}; "
-        f"certificate: {report.certificate})"
+        ("kind", s.kind),
+        (word, s.genus_or_crosscaps),
+        ("boundary", s.boundary_components),
+        ("z2_rank", s.z2_rank),
+        *extra,
+        ("pin_plus", _yesno(sf.pin_plus_exists_surface(s))),
     ]
 
 
-def _threefold_lines(d: tf.HandlebodyDecomposition3, fmt: str) -> list[str]:
+def _verdict_section(report: lf.DecisionReport) -> _Section:
+    sign, dim = _sign(report.kind), report.h1_annihilator_dim
+    count, cert = report.structure_count, report.certificate
+    pairs = [
+        ("exists", _yesno(report.exists)),
+        ("structure_count", count),
+        ("annihilator_dim", dim),
+    ]
+    if cert:
+        pairs.append(("certificate", cert))
+    if report.exists:
+        line = f"Pin{sign}: YES ({count} structures; annihilator dim {dim})"
+    else:
+        line = f"Pin{sign}: NO (annihilator dim {dim}; certificate: {cert})"
+    return _Section(f"verdict.{report.kind}", pairs, [line])
+
+
+def _threefold_section(d: tf.HandlebodyDecomposition3) -> _Section:
+    labels = [f"{side}{j + 1}" for side in "ab" for j in range(d.genus)]
     rows = [",".join(str(a % 2) for a in c.coords) for c in d.listed_classes()]
-    labels = [f"a{j + 1}" for j in range(d.genus)] + [
-        f"b{j + 1}" for j in range(d.genus)
-    ]
-    if fmt == "machine":
-        lines = ["[threefold]", f"genus = {d.genus}"]
-        for label, row in zip(labels, rows):
-            lines.append(f"row.{label} = {row}")
-        return lines
-    lines = [
-        f"threefold: genus {d.genus} (boundary {d.boundary.describe()})",
-        "system rows mod 2 (attaching then belt):",
-    ]
-    for label, row in zip(labels, rows):
-        lines.append(f"  {label}: {row}")
-    return lines
+    pairs = [("genus", d.genus)] + [(f"row.{a}", row) for a, row in zip(labels, rows)]
+    text = [f"threefold: genus {d.genus} (boundary {d.boundary.describe()})"]
+    text.append("system rows mod 2 (attaching then belt):")
+    text += [f"  {a}: {row}" for a, row in zip(labels, rows)]
+    return _Section("threefold", pairs, text)
 
 
-def _extend_block(lines: list[str], block: list[str], fmt: str) -> None:
-    # Machine reports separate sections with one blank line, like the input.
-    if fmt == "machine" and lines and block and block[0].startswith("["):
-        lines.append("")
-    lines.extend(block)
-
-
-def _run_decide(doc: InputDocument, kind: str, fmt: str) -> tuple[str, int]:
+def _run_decide(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
     kinds = _kind_list(kind)
     mode = _mode(doc)
-    lines: list[str] = []
-    if fmt == "machine":
-        lines += ["[report]", "command = decide", f"kind = {kind}", f"mode = {mode}"]
-    _extend_block(lines, _surface_lines(doc, fmt), fmt)
-
+    s = doc.surface
+    surface_text = [f"surface: {s.describe()} (z2 rank {s.z2_rank})"]
+    sections = [_header("decide", kind, ("mode", mode))]
+    sections.append(_Section("surface", _surface_pairs(s), surface_text))
     if mode == "charclass":
-        summary = pin_obstruction_summary(doc.embedded_surfaces)
-        ok = True
-        body: list[str] = []
-        if fmt == "machine":
-            body.append("[obstructions]")
-            body.append(f"surfaces = {len(doc.embedded_surfaces)}")
-        else:
-            body.append(f"embedded surfaces: {len(doc.embedded_surfaces)}")
-        for n, d in enumerate(doc.embedded_surfaces, start=1):
-            if fmt == "machine":
-                body.append(f"w2.{n} = {eval_w2(d)}")
-                body.append(f"w1sq.{n} = {eval_w1sq(d)}")
-            else:
-                body.append(f"surface {n}: w2 = {eval_w2(d)}, w1^2 = {eval_w1sq(d)}")
+        blocks = doc.embedded_surfaces
+        summary = pin_obstruction_summary(blocks)
+        pairs: list[tuple[str, object]] = [("surfaces", len(blocks))]
+        text = [f"embedded surfaces: {len(blocks)}"]
+        for n, d in enumerate(blocks, start=1):
+            pairs += [(f"w2.{n}", eval_w2(d)), (f"w1sq.{n}", eval_w1sq(d))]
+            text.append(f"surface {n}: w2 = {eval_w2(d)}, w1^2 = {eval_w1sq(d)}")
+        obstructed = {
+            "plus": summary.pin_plus_obstructed,
+            "minus": summary.pin_minus_obstructed,
+        }
         for k in kinds:
-            obstructed = (
-                summary.pin_plus_obstructed
-                if k == "plus"
-                else summary.pin_minus_obstructed
-            )
-            ok = ok and not obstructed
-            word = "obstructed" if obstructed else "unobstructed"
-            if fmt == "machine":
-                body.append(f"pin_{k} = {word}")
-            else:
-                body.append(f"Pin{_sign(k)}: {word}")
+            word = "obstructed" if obstructed[k] else "unobstructed"
+            pairs.append((f"pin_{k}", word))
+            text.append(f"Pin{_sign(k)}: {word}")
         if summary.empty_generating_set:
             note = "empty generating set; verdicts vacuous"
-            body.append(
-                f"caveat = {note}" if fmt == "machine" else f"caveat: {note}"
-            )
-        _extend_block(lines, body, fmt)
-        return _join(lines), 0 if ok else 1
-
+            pairs.append(("caveat", note))
+            text.append(f"caveat: {note}")
+        sections.append(_Section("obstructions", pairs, text))
+        return sections, 1 if any(obstructed[k] for k in kinds) else 0
     if mode == "threefold":
-        _extend_block(lines, _threefold_lines(doc.threefold, fmt), fmt)
-
-    reports = {k: _decide(doc, k) for k in kinds}
-    for k in kinds:
-        _extend_block(lines, _verdict_lines(reports[k], fmt), fmt)
-    ok = all(reports[k].exists for k in kinds)
-
+        sections.append(_threefold_section(doc.threefold))
+    reports = [_decide(doc, k) for k in kinds]
+    sections += map(_verdict_section, reports)
+    ok = all(report.exists for report in reports)
     if mode == "sphere":
-        sigma = _sphere_dual(doc)
-        verdicts = lf.decide_pin_over_s2(_fibration(doc), sigma)
-        if fmt == "machine":
-            _extend_block(lines, ["[over-s2]"], fmt)
-        for k in kinds:
-            v = verdicts.pin_plus if k == "plus" else verdicts.pin_minus
-            if fmt == "machine":
-                lines.append(f"pin_{k} = {_yesno(v)}")
-            else:
-                lines.append(f"Pin{_sign(k)} over S2: {'YES' if v else 'NO'}")
-        ok = all(
-            (verdicts.pin_plus if k == "plus" else verdicts.pin_minus) for k in kinds
-        )
-    return _join(lines), 0 if ok else 1
+        if len(doc.embedded_surfaces) != 1:
+            raise InputError(
+                "a fibration-over-the-sphere document takes exactly one "
+                "embedded-surface block (the dual surface)"
+            )
+        verdicts = lf.decide_pin_over_s2(_fibration(doc), doc.embedded_surfaces[0])
+        over = {"plus": verdicts.pin_plus, "minus": verdicts.pin_minus}
+        pairs = [(f"pin_{k}", _yesno(over[k])) for k in kinds]
+        text = [
+            f"Pin{_sign(k)} over S2: {'YES' if over[k] else 'NO'}" for k in kinds
+        ]
+        sections.append(_Section("over-s2", pairs, text))
+        ok = all(over[k] for k in kinds)
+    return sections, 0 if ok else 1
 
 
-def _sphere_dual(doc: InputDocument) -> EmbeddedSurfaceData:
-    if len(doc.embedded_surfaces) != 1:
-        raise InputError(
-            "a fibration-over-the-sphere document takes exactly one "
-            "embedded-surface block (the dual surface)"
-        )
-    return doc.embedded_surfaces[0]
-
-
-def _run_enumerate(doc: InputDocument, kind: str, fmt: str) -> tuple[str, int]:
+def _target(doc: InputDocument, command: str) -> sf.SurfaceModel:
+    """The surface whose enhancements enumerate and oracle list."""
     if _mode(doc) == "charclass":
-        raise InputError("enumerate applies to fibration or threefold documents")
-    kinds = _kind_list(kind)
-    target = (
-        doc.threefold.boundary if doc.threefold is not None else doc.surface
-    )
-    pres = sf.homology_presentation(target)
-    lines: list[str] = []
-    if fmt == "machine":
-        lines += ["[report]", "command = enumerate", f"kind = {kind}"]
-    reports = {k: _decide(doc, k) for k in kinds}
-    for k, report in reports.items():
+        raise InputError(f"{command} applies to fibration or threefold documents")
+    return doc.threefold.boundary if doc.threefold is not None else doc.surface
+
+
+def _run_enumerate(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
+    target = _target(doc, "enumerate")
+    reports = [_decide(doc, k) for k in _kind_list(kind)]
+    for report in reports:
         if report.structure_count > _ENUMERATE_LIMIT:
             raise InputError(
-                f"enumerate refused: {report.structure_count} Pin{_sign(k)} "
-                f"structures exceed {_ENUMERATE_LIMIT}"
+                f"enumerate refused: {report.structure_count} "
+                f"Pin{_sign(report.kind)} structures exceed {_ENUMERATE_LIMIT}"
             )
-    gens = ",".join(pres.generators)
-    for k, report in reports.items():
-        # The set yields its rows in lexicographic order already.
-        rows = (
-            ",".join(row.translate(_DIGITS).decode())
-            for row in report.structures.values()
+    gens = ",".join(sf.homology_presentation(target).generators)
+    sections = [_header("enumerate", kind)]
+    for report in reports:
+        count, cert = report.structure_count, report.certificate
+        # Each format reads its own lazy pass over the rows.
+        pairs = chain(
+            [("count", count), ("generators", gens)],
+            (("structure", row) for row in _structure_rows(report)),
+            [("certificate", cert)] if cert and not count else [],
         )
-        count = report.structure_count
-        if fmt == "machine":
-            _extend_block(lines, [f"[structures.{k}]"], fmt)
-            lines.append(f"count = {count}")
-            lines.append(f"generators = {gens}")
-            lines.extend("structure = " + row for row in rows)
-            if not count and report.certificate:
-                lines.append(f"certificate = {report.certificate}")
-        else:
-            lines.append(f"Pin{_sign(k)} structures ({count}) on generators {gens}:")
-            lines.extend("  " + row for row in rows)
-            if not count:
-                lines.append(f"  none ({report.certificate})")
-    ok = all(report.exists for report in reports.values())
-    return _join(lines), 0 if ok else 1
+        text = chain(
+            [f"Pin{_sign(report.kind)} structures ({count}) on generators {gens}:"],
+            ("  " + row for row in _structure_rows(report)),
+            [] if count else [f"  none ({cert})"],
+        )
+        sections.append(_Section(f"structures.{report.kind}", pairs, text))
+    return sections, 0 if all(report.exists for report in reports) else 1
 
 
-def _run_oracle(doc: InputDocument, kind: str, fmt: str) -> tuple[str, int]:
-    if _mode(doc) == "charclass":
-        raise InputError("oracle applies to fibration or threefold documents")
-    target = doc.threefold.boundary if doc.threefold is not None else doc.surface
-    rank = sf.homology_presentation(target).z2_rank
+def _structure_rows(report: lf.DecisionReport) -> Iterator[str]:
+    # The set yields its rows in lexicographic order already.
+    return (",".join(v.translate(_DIGITS).decode()) for v in report.structures.values())
+
+
+def _run_oracle(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
+    rank = sf.homology_presentation(_target(doc, "oracle")).z2_rank
     if rank > _ORACLE_RANK_LIMIT:
-        raise InputError(
-            f"oracle refused: z2 rank {rank} exceeds {_ORACLE_RANK_LIMIT}"
-        )
-    kinds = _kind_list(kind)
-    lines: list[str] = []
-    if fmt == "machine":
-        lines += ["[report]", "command = oracle", f"kind = {kind}"]
-        _extend_block(lines, ["[oracle]"], fmt)
+        raise InputError(f"oracle refused: z2 rank {rank} exceeds {_ORACLE_RANK_LIMIT}")
+    pairs: list[tuple[str, object]] = []
+    text = []
     agree_all = True
-    for k in kinds:
+    for k in _kind_list(kind):
         report = _decide(doc, k)
         brute = _brute(doc, k)
         decided = set(map(tuple, report.structures.values()))
@@ -584,18 +552,18 @@ def _run_oracle(doc: InputDocument, kind: str, fmt: str) -> tuple[str, int]:
         agree = report.exists == bool(brute) and decided == exhaustive
         agree_all = agree_all and agree
         word = "AGREE" if agree else "DISAGREE"
-        if fmt == "machine":
-            lines.append(f"pin_{k} = {word}")
-            lines.append(f"decided_count.{k} = {len(decided)}")
-            lines.append(f"exhaustive_count.{k} = {len(exhaustive)}")
-        else:
-            lines.append(
-                f"oracle Pin{_sign(k)}: {word} "
-                f"(decider {len(decided)}, exhaustive {len(exhaustive)})"
-            )
-    if fmt != "machine":
-        lines.append(f"overall: {'AGREE' if agree_all else 'DISAGREE'}")
-    return _join(lines), 0 if agree_all else 1
+        pairs += [
+            (f"pin_{k}", word),
+            (f"decided_count.{k}", len(decided)),
+            (f"exhaustive_count.{k}", len(exhaustive)),
+        ]
+        text.append(
+            f"oracle Pin{_sign(k)}: {word} "
+            f"(decider {len(decided)}, exhaustive {len(exhaustive)})"
+        )
+    text.append(f"overall: {'AGREE' if agree_all else 'DISAGREE'}")
+    sections = [_header("oracle", kind), _Section("oracle", pairs, text)]
+    return sections, 0 if agree_all else 1
 
 
 def _form_rows(pres: sf.HomologyPresentation) -> list[str]:
@@ -610,51 +578,39 @@ def _form_rows(pres: sf.HomologyPresentation) -> list[str]:
     return out
 
 
-def _run_surface_info(doc: InputDocument, fmt: str) -> tuple[str, int]:
+def _run_surface_info(doc: InputDocument) -> tuple[list[_Section], int]:
     s = doc.surface
     pres = sf.homology_presentation(s)
-    word = "genus" if s.kind == sf.ORIENTABLE else "crosscaps"
-    form = _form_rows(pres)
+    gens = ",".join(pres.generators)
+    form = list(zip(pres.generators, _form_rows(pres)))
     relations = [",".join(map(str, row)) for row in pres.relations]
-    lines: list[str] = []
-    if fmt == "machine":
-        lines += [
-            "[surface-info]",
-            f"kind = {s.kind}",
-            f"{word} = {s.genus_or_crosscaps}",
-            f"boundary = {s.boundary_components}",
-            f"z2_rank = {pres.z2_rank}",
-            f"generators = {','.join(pres.generators)}",
-        ]
-        for label, row in zip(pres.generators, form):
-            lines.append(f"intersection.{label} = {row}")
-        if relations:
-            lines.extend("relation = " + row for row in relations)
-        else:
-            lines.append("relations = none")
-        lines.append(f"pin_plus = {_yesno(sf.pin_plus_exists_surface(s))}")
-        return _join(lines), 0
-    lines.append(f"surface: {s.describe()}")
-    lines.append(f"z2 rank: {pres.z2_rank}")
-    lines.append(f"generators: {','.join(pres.generators)}")
-    lines.append("intersection form mod 2:")
-    for label, row in zip(pres.generators, form):
-        lines.append(f"  {label}: {row}")
+    pairs = [("generators", gens)] + [(f"intersection.{g}", row) for g, row in form]
+    text = [f"surface: {s.describe()}", f"z2 rank: {pres.z2_rank}"]
+    text += [f"generators: {gens}", "intersection form mod 2:"]
+    text += [f"  {g}: {row}" for g, row in form]
     if relations:
-        lines.append("z4 relation rows:")
-        lines.extend("  " + row for row in relations)
+        pairs += [("relation", row) for row in relations]
+        text += ["z4 relation rows:"] + ["  " + row for row in relations]
     else:
-        lines.append("z4 relation rows: none")
+        pairs.append(("relations", "none"))
+        text.append("z4 relation rows: none")
     obstruction = sf.pin_plus_obstruction(s)
-    if obstruction is None:
-        lines.append("Pin+ on surface: yes")
-    else:
-        lines.append(f"Pin+ on surface: no ({obstruction})")
-    return _join(lines), 0
+    verdict = "yes" if obstruction is None else f"no ({obstruction})"
+    text.append(f"Pin+ on surface: {verdict}")
+    return [_Section("surface-info", _surface_pairs(s, *pairs), text)], 0
 
 
-def _join(lines: list[str]) -> str:
-    return "\n".join(lines) + "\n"
+def _report(command: str, doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
+    """A command's report and exit status; every input error raises here."""
+    if command == "decide":
+        return _run_decide(doc, kind)
+    if command == "enumerate":
+        return _run_enumerate(doc, kind)
+    if command == "oracle":
+        return _run_oracle(doc, kind)
+    if command == "surface-info":
+        return _run_surface_info(doc)
+    raise InputError(f"unknown command {command!r}")
 
 
 def run(command: str, doc: InputDocument, kind: str = "both", fmt: str = "text"):
@@ -662,15 +618,8 @@ def run(command: str, doc: InputDocument, kind: str = "both", fmt: str = "text")
 
     Returns (report_text, exit_status).
     """
-    if command == "decide":
-        return _run_decide(doc, kind, fmt)
-    if command == "enumerate":
-        return _run_enumerate(doc, kind, fmt)
-    if command == "oracle":
-        return _run_oracle(doc, kind, fmt)
-    if command == "surface-info":
-        return _run_surface_info(doc, fmt)
-    raise InputError(f"unknown command {command!r}")
+    sections, status = _report(command, doc, kind)
+    return "\n".join(_render(sections, fmt)) + "\n", status
 
 
 # ---------------------------------------------------------------------------
@@ -729,11 +678,18 @@ def main(argv=None) -> int:
         return 2
     try:
         doc = parse(_decode(data))
-        report, status = run(args.command, doc, kind=args.kind, fmt=args.fmt)
+        sections, status = _report(args.command, doc, args.kind)
     except PinlefError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    sys.stdout.write(report)
+    try:
+        # One line at a time: a long enumerate report is never held whole.
+        sys.stdout.writelines(line + "\n" for line in _render(sections, args.fmt))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``pinlef enumerate ... | head``).  Send
+        # what is left to devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

@@ -12,7 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pinlef as P
@@ -144,6 +144,59 @@ def test_parse_content_before_section():
 def test_parse_serialize_roundtrip(text):
     doc = cli.parse(text)
     assert cli.parse(cli.serialize(doc)) == doc
+
+
+def _residue_rows(rank: int):
+    return st.lists(st.integers(0, 3), min_size=rank, max_size=rank)
+
+
+def _two_sided(row: list[int]):
+    """The class of ``row`` with its last residue's parity set so that the
+    mod-2 self-intersection on a closed crosscap surface, the number of odd
+    residues, is even."""
+    odd = sum(a % 2 for a in row) % 2
+    return P.z4_class(row[:-1] + [row[-1] ^ odd])
+
+
+@st.composite
+def _documents(draw):
+    """Documents with every part a description file can hold: either surface
+    kind, cycles absent, empty or up to four, an optional two-sided threefold
+    and up to two embedded-surface blocks."""
+    genus = draw(st.one_of(st.none(), st.integers(1, 2)))
+    threefold = None
+    if genus is None:
+        boundary = draw(st.integers(0, 3))
+        if draw(st.booleans()):
+            surface = P.orientable_surface(draw(st.integers(0, 3)), boundary)
+        else:
+            surface = P.non_orientable_surface(draw(st.integers(1, 4)), boundary)
+    else:
+        surface = P.non_orientable_surface(2 * genus, 0)
+        row = _residue_rows(2 * genus).map(_two_sided)
+        classes = st.lists(row, min_size=genus, max_size=genus).map(tuple)
+        threefold = P.HandlebodyDecomposition3(genus, draw(classes), draw(classes))
+    cycles = st.lists(_residue_rows(surface.z2_rank).map(P.z4_class), max_size=4)
+    bits = st.integers(0, 1)
+    block = st.builds(P.EmbeddedSurfaceData, bits, bits, bits, bits, bits)
+    return cli.InputDocument(
+        surface=surface,
+        cycles=draw(st.one_of(st.none(), cycles.map(tuple))),
+        threefold=threefold,
+        embedded_surfaces=tuple(draw(st.lists(block, max_size=2))),
+    )
+
+
+@given(_documents())
+@example(cli.InputDocument(P.orientable_surface(0, 1), (P.z4_class([]),)))
+@settings(max_examples=200, deadline=None)
+def test_parse_serialize_roundtrip_generated(doc):
+    if doc.cycles and not doc.surface.z2_rank:
+        # A blank line would stand for the cycle, and parse skips blank lines.
+        with pytest.raises(InputError, match="has no residue row"):
+            cli.serialize(doc)
+    else:
+        assert cli.parse(cli.serialize(doc)) == doc
 
 
 def test_roundtrip_distinguishes_missing_and_empty_cycles():
@@ -383,6 +436,44 @@ def test_enumerate_refuses_too_many_structures(capsys, tmp_path, args):
     assert err.endswith(f"structures exceed {1 << 20}\n")
     assert cli.main(["decide", str(doc), *args]) == 0
     assert "4194304" in capsys.readouterr().out
+
+
+def test_main_streams_enumerate_report(tmp_path):
+    # 2**14 structures of each kind make about 1 MiB of report; written a
+    # line at a time, it never needs that much memory.
+    doc = tmp_path / "product.pinlef"
+    doc.write_text("[surface]\nkind = orientable\ngenus = 7\nboundary = 1\n")
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            status = cli.main(["enumerate", str(doc)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert status == 0
+    assert peak < 1 << 20
+
+
+def test_console_main_stops_quietly_when_the_reader_does(tmp_path):
+    # As in `pinlef enumerate product.pinlef | head -1`: about 4 MiB of report
+    # meets a reader that closes the pipe after one line.
+    doc = tmp_path / "product.pinlef"
+    doc.write_text("[surface]\nkind = orientable\ngenus = 8\nboundary = 1\n")
+    entry = "from pinlef.cli import console_main; console_main()"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", entry, "enumerate", str(doc)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.readline().startswith(b"Pin+ structures (65536)")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_cli_never_imports_numpy(tmp_path):

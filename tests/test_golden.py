@@ -4,8 +4,6 @@
 stderr and exit status of ``cli.main`` for every command x ``--kind`` x
 ``--format`` combination, plus the public deciders' reports (structure
 order, certificate, witness) and the brute-force oracles' enhancement lists.
-The CLI sorts its structure rows, so only the API records pin down the
-order of ``report.structures``.
 
 Regenerate the file (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -174,6 +172,17 @@ def test_cli_outputs_match_golden():
     assert sorted(actual) == sorted(expected)
     for key, record in expected.items():
         assert actual[key] == record, key
+
+
+def test_run_matches_golden_stdout():
+    # cli.run joins the rendered report where cli.main streams it.
+    docs = documents()
+    for key, record in _expected()["cli"].items():
+        if record["status"] == 2:
+            continue
+        name, command, kind, fmt = key.split()
+        expected = (record["stdout"], record["status"])
+        assert cli.run(command, cli.parse(docs[name]), kind, fmt) == expected, key
 
 
 def test_decisions_match_golden():

@@ -486,8 +486,8 @@ def _run_decide(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
                 "a fibration-over-the-sphere document takes exactly one "
                 "embedded-surface block (the dual surface)"
             )
-        verdicts = lf.decide_pin_over_s2(_fibration(doc), doc.embedded_surfaces[0])
-        over = {"plus": verdicts.pin_plus, "minus": verdicts.pin_minus}
+        terms = lf.dual_surface_terms(doc.embedded_surfaces[0])
+        over = {r.kind: r.exists and terms[r.kind] == 0 for r in reports}
         pairs = [(f"pin_{k}", _yesno(over[k])) for k in kinds]
         text = [
             f"Pin{_sign(k)} over S2: {'YES' if over[k] else 'NO'}" for k in kinds
@@ -547,19 +547,19 @@ def _run_oracle(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
     for k in _kind_list(kind):
         report = _decide(doc, k)
         brute = _brute(doc, k)
-        decided = set(map(tuple, report.structures.values()))
-        exhaustive = {q.values for q in brute}
-        agree = report.exists == bool(brute) and decided == exhaustive
+        decided, exhaustive = report.structure_count, len(brute)
+        # Equal counts and one inclusion make the two sets equal.
+        agree = decided == exhaustive and all(q in report.structures for q in brute)
         agree_all = agree_all and agree
         word = "AGREE" if agree else "DISAGREE"
         pairs += [
             (f"pin_{k}", word),
-            (f"decided_count.{k}", len(decided)),
-            (f"exhaustive_count.{k}", len(exhaustive)),
+            (f"decided_count.{k}", decided),
+            (f"exhaustive_count.{k}", exhaustive),
         ]
         text.append(
             f"oracle Pin{_sign(k)}: {word} "
-            f"(decider {len(decided)}, exhaustive {len(exhaustive)})"
+            f"(decider {decided}, exhaustive {exhaustive})"
         )
     text.append(f"overall: {'AGREE' if agree_all else 'DISAGREE'}")
     sections = [_header("oracle", kind), _Section("oracle", pairs, text)]

@@ -44,6 +44,8 @@ _DIGIT_BITS = bytes.maketrans(b"01", bytes(range(2)))
 def pack_bits(residues) -> int:
     """Parities of a row of residues in 0..3 (bytes, or ints) as one int,
     the first entry most significant."""
+    if not isinstance(residues, (bytes, tuple, list)):
+        residues = list(residues)  # an array's entries, not its raw buffer
     digits = bytes(residues).translate(_PARITY_DIGITS)
     return int(digits, 2) if digits else 0
 

@@ -204,6 +204,16 @@ class SphereVerdicts(NamedTuple):
     pin_plus: bool
 
 
+def dual_surface_terms(d: EmbeddedSurfaceData) -> dict[str, int]:
+    """The dual surface's term of each kind in the verdicts over the sphere:
+    [sigma]^2 + cup + w1^2(nu(sigma)) for "minus", chi(sigma) + [sigma]^2
+    + cup for "plus", mod 2."""
+    return {
+        "minus": (d.self_intersection_mod2 + d.cup_term + d.w1sq_normal) % 2,
+        "plus": (d.euler_char_mod2 + d.self_intersection_mod2 + d.cup_term) % 2,
+    }
+
+
 def decide_pin_over_s2(
     f: LefschetzFibration, dual_surface: EmbeddedSurfaceData
 ) -> SphereVerdicts:
@@ -211,18 +221,12 @@ def decide_pin_over_s2(
 
     ``f`` describes the complement of a fiber neighbourhood as a fibration
     over the disk; ``dual_surface`` carries the invariants of an embedded
-    surface dual to the fiber.  The total space is Pin- when the disk part
-    is and [sigma]^2 + cup + w1^2(nu(sigma)) vanishes; it is Pin+ when the
-    disk part is and chi(sigma) + [sigma]^2 + cup vanishes.
+    surface dual to the fiber.  The total space is Pin- (Pin+) when the
+    disk part is and the "minus" ("plus") entry of
+    :func:`dual_surface_terms` vanishes.
     """
-    d = dual_surface
-    minus_term = (
-        d.self_intersection_mod2 + d.cup_term + d.w1sq_normal
-    ) % 2
-    plus_term = (
-        d.euler_char_mod2 + d.self_intersection_mod2 + d.cup_term
-    ) % 2
+    terms = dual_surface_terms(dual_surface)
     return SphereVerdicts(
-        pin_minus=decide_pin_minus(f).exists and minus_term == 0,
-        pin_plus=decide_pin_plus(f).exists and plus_term == 0,
+        pin_minus=decide_pin_minus(f).exists and terms["minus"] == 0,
+        pin_plus=decide_pin_plus(f).exists and terms["plus"] == 0,
     )

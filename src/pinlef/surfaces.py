@@ -15,7 +15,9 @@ homology presentation:
 First homology with Z4 coefficients is presented as the free Z4 module on
 the same generators modulo explicit relation rows; the only nontrivial
 case is a closed non-orientable surface, where twice the sum of the
-crosscap generators dies.
+crosscap generators dies.  Each form is fixed by the surface type, so
+pairings and enhancements are evaluated by popcounts of coordinates
+packed one bit per generator (``fl.pack_bits``).
 
 Two kinds of quadratic enhancement refine the intersection pairing:
 
@@ -102,10 +104,12 @@ class HomologyPresentation:
 
     Each generator meets at most one other generator, so the form is kept
     as two O(r) tables: ``diagonal[i]`` is e_i.e_i and ``partner[i]`` the
-    one j != i with e_i.e_j = 1, or -1.  ``relations`` holds the Z4
-    relation rows as tuples.  The numpy views ``z2_intersection`` (the
-    dense r x r form) and ``z4_relations`` are built from these on first
-    access; nothing in the deciders or the command line reads them.
+    one j != i with e_i.e_j = 1 (the adjacent a_i, b_i of a handle), or
+    -1, and the evaluators read it as two packed masks.  ``relations``
+    holds the Z4 relation rows as tuples: none, or the one row (2, ..., 2).
+    The numpy views ``z2_intersection`` (the dense r x r form) and
+    ``z4_relations`` are built on first access; nothing in the deciders
+    or the command line reads them.
     """
 
     generators: tuple[str, ...]
@@ -117,6 +121,17 @@ class HomologyPresentation:
     @property
     def rank(self) -> int:
         return self.z2_rank
+
+    @cached_property
+    def one_sided(self) -> int:
+        """The generators with e.e = 1, packed by ``fl.pack_bits``."""
+        return fl.pack_bits(self.diagonal)
+
+    @cached_property
+    def handle_first(self) -> int:
+        """The first generator of each handle, packed by ``fl.pack_bits``;
+        its partner is the next generator, one bit lower."""
+        return fl.pack_bits([j == i + 1 for i, j in enumerate(self.partner)])
 
     @cached_property
     def z2_intersection(self) -> np.ndarray:
@@ -154,21 +169,18 @@ def homology_presentation(s: SurfaceModel) -> HomologyPresentation:
     relations = ()
     if s.kind == ORIENTABLE:
         g = s.genus_or_crosscaps
-        labels = []
-        for i in range(1, g + 1):
-            labels += [f"a{i}", f"b{i}"]
-        labels += [f"d{i}" for i in range(1, n_boundary + 1)]
+        labels = [f"{c}{i}" for i in range(1, g + 1) for c in "ab"]
         diagonal = (0,) * r
         # a_i and b_i (indices 2i and 2i + 1) meet each other once.
         partner = tuple(i ^ 1 for i in range(2 * g)) + (-1,) * n_boundary
     else:
         k = s.genus_or_crosscaps
         labels = [f"e{i}" for i in range(1, k + 1)]
-        labels += [f"d{i}" for i in range(1, n_boundary + 1)]
         diagonal = (1,) * k + (0,) * n_boundary
         partner = (-1,) * r
         if b == 0:
             relations = ((2,) * r,)
+    labels += [f"d{i}" for i in range(1, n_boundary + 1)]
     return HomologyPresentation(tuple(labels), r, diagonal, partner, relations)
 
 
@@ -227,41 +239,43 @@ def z2_reduction(x: HomologyClass) -> HomologyClass:
 
 
 def pairing_mod2(pres: HomologyPresentation, u, v) -> int:
-    """Mod-2 intersection number of two coordinate vectors."""
-    v = [int(b) % 2 for b in v]
-    total = 0
-    for i, a in enumerate(u):
-        if int(a) % 2:
-            j = pres.partner[i]
-            total += pres.diagonal[i] * v[i] + (v[j] if j >= 0 else 0)
-    return total % 2
+    """Mod-2 intersection number of two coordinate vectors of residues 0..3."""
+    return _pairing_terms(pres, fl.pack_bits(u), fl.pack_bits(v)).bit_count() & 1
 
 
 def self_intersection_mod2(pres: HomologyPresentation, coords) -> int:
-    """Mod-2 self-intersection of a class given by (Z2 or Z4) coordinates."""
-    bits = [a % 2 for a in coords]
-    return pairing_mod2(pres, bits, bits)
+    """Mod-2 self-intersection of a class given by (Z2 or Z4) coordinates:
+    a handle's two cross terms cancel, so only one-sided generators count."""
+    return (fl.pack_bits(coords) & pres.one_sided).bit_count() & 1
 
 
 def pairwise_parity_mod2(pres: HomologyPresentation, vectors) -> int:
     """Parity of the sum of ``pairing_mod2`` over every pair of the vectors.
 
-    With B the 0/1 form over the integers and S the sum of the mod-2
-    reductions u_i, B(S, S) = sum_i B(u_i, u_i) + 2 sum_{i<j} B(u_i, u_j),
-    so one pass over the k vectors replaces the k(k - 1)/2 pairings.
+    The pairing is bilinear, so the sum over pairs i < j equals the sum over
+    j of the pairing of u_j with the running sum u_1 + ... + u_{j-1}.
     """
-    bits = [[int(a) % 2 for a in v] for v in vectors]
-    total = _integer_square(pres, [sum(col) for col in zip(*bits)])
-    total -= sum(_integer_square(pres, u) for u in bits)
-    return total // 2 % 2
+    prefix = terms = 0
+    for v in vectors:
+        u = fl.pack_bits(v)
+        terms ^= _pairing_terms(pres, prefix, u)
+        prefix ^= u
+    return terms.bit_count() & 1
 
 
-def _integer_square(pres: HomologyPresentation, x) -> int:
-    """B(x, x) over the integers, for an integer coordinate vector x."""
-    return sum(
-        a * (d * a + (x[j] if j >= 0 else 0))
-        for a, d, j in zip(x, pres.diagonal, pres.partner)
-    )
+def _pairing_terms(pres: HomologyPresentation, u: int, v: int) -> int:
+    """A packed row whose popcount is u.v mod 2: a one-sided generator
+    pairs with itself, a handle's first generator with the next bit."""
+    crossed = (u & (v << 1)) ^ ((u << 1) & v)
+    return (u & v & pres.one_sided) ^ (crossed & pres.handle_first)
+
+
+_HIGH_BITS = bytes.maketrans(bytes(range(4)), bytes((0, 0, 1, 1)))
+
+
+def _high_bits(residues) -> int:
+    """The high bits of residues 0..3, packed like ``fl.pack_bits``."""
+    return fl.pack_bits(bytes(residues).translate(_HIGH_BITS))
 
 
 def z4_classes_equal(s: SurfaceModel, x: HomologyClass, y: HomologyClass) -> bool:
@@ -271,9 +285,9 @@ def z4_classes_equal(s: SurfaceModel, x: HomologyClass, y: HomologyClass) -> boo
     pres = homology_presentation(s)
     if len(x.coords) != pres.z2_rank or len(y.coords) != pres.z2_rank:
         raise InputError("class length does not match the surface's generators")
-    diff = [(a - b) % 4 for a, b in zip(x.coords, y.coords)]
-    h = fl.howell_z4(pres.z4_relations)
-    return fl.in_row_module_z4(h, diff)
+    diff = tuple((a - b) % 4 for a, b in zip(x.coords, y.coords))
+    # At most one relation row, (2, ..., 2), which spans {0, itself}.
+    return not any(diff) or diff in pres.relations
 
 
 def format_class(pres: HomologyPresentation, coords) -> str:
@@ -324,11 +338,9 @@ class EnhancementMinus:
 class EnhancementPlus:
     """Z2-valued enhancement of mod-4 homology.
 
-    Stored by its values on the generators.  On surfaces whose presentation
-    has relation rows, well-definedness requires the evaluation formula to
-    vanish on every relation row; this is checked at evaluation time and
-    fails for every value assignment exactly when the surface has no Pin+
-    structure.
+    Stored by its values on the generators.  Every assignment takes the
+    crosscap count mod 2 on the relation row (2, ..., 2), so none is well
+    defined exactly when :func:`pin_plus_obstruction` is set.
     """
 
     surface: SurfaceModel
@@ -353,7 +365,7 @@ def base_enhancement_minus(s: SurfaceModel) -> EnhancementMinus:
 def base_enhancement_plus(s: SurfaceModel) -> EnhancementPlus:
     """The default plus enhancement: 0 on every generator.
 
-    Its relation-consistency check succeeds exactly when the surface
+    Like every plus enhancement it is well defined exactly when the surface
     carries a Pin+ structure.
     """
     pres = homology_presentation(s)
@@ -365,62 +377,43 @@ def eval_qminus(q: EnhancementMinus, x: HomologyClass) -> int:
 
     Expanding the defining rule over a sum of distinct generators:
     q(sum a_i e_i) = sum a_i q(e_i) + 2 sum_{i<j} a_i a_j e_i.e_j mod 4.
+    Each q(e_i) is e_i.e_i plus twice its high bit; the pairs meeting once
+    are the handles with both generators in x.
     """
     if x.ring != "Z2":
         raise InputError("eval_qminus takes a Z2 class")
     pres = homology_presentation(q.surface)
     if len(x.coords) != pres.z2_rank:
         raise InputError("class length does not match the surface's generators")
-    coords, partner = x.coords, pres.partner
-    total = 0
-    for i, a in enumerate(coords):
-        if a:
-            # Each pair i < j meeting once adds 2; count it from i.
-            j = partner[i]
-            total += q.values[i] + (2 * coords[j] if j > i else 0)
-    return total % 4
-
-
-def _eval_plus_raw(values, pres: HomologyPresentation, coords) -> int:
-    # q(sum a_i g_i) = sum a_i q(g_i) + sum C(a_i,2) g_i.g_i
-    #                + sum_{i<j} a_i a_j g_i.g_j  (mod 2)
-    total = 0
-    for i, (a, value, d, j) in enumerate(
-        zip(coords, values, pres.diagonal, pres.partner)
-    ):
-        if a:
-            total += a * value + (a * (a - 1) // 2) * d
-            if j > i:
-                total += a * coords[j]
-    return total % 2
-
-
-def plus_relation_defect(q: EnhancementPlus) -> int:
-    """Largest evaluation of q on a relation row; 0 means well defined."""
-    pres = homology_presentation(q.surface)
-    return max(
-        (_eval_plus_raw(q.values, pres, row) for row in pres.relations),
-        default=0,
-    )
+    bits = fl.pack_bits(x.coords)
+    twos = (bits & _high_bits(q.values)).bit_count()
+    twos += (bits & (bits << 1) & pres.handle_first).bit_count()
+    return ((bits & pres.one_sided).bit_count() + 2 * twos) % 4
 
 
 def eval_qplus(q: EnhancementPlus, x: HomologyClass) -> int:
     """Evaluate a plus enhancement on a mod-4 homology class.
 
+    q(sum a_i g_i) = sum a_i q(g_i) + sum C(a_i, 2) g_i.g_i
+    + sum_{i<j} a_i a_j g_i.g_j mod 2; C(a, 2) is odd when a's high bit is.
+
     Raises:
-        InvariantViolation: the generator values do not kill every relation
-            row, so the value would depend on the chosen representative.
+        InvariantViolation: the surface has no Pin+ structure, so q is 1 on
+            the relation row (2, ..., 2) and depends on the representative.
     """
     if x.ring != "Z4":
         raise InputError("eval_qplus takes a Z4 class")
     pres = homology_presentation(q.surface)
     if len(x.coords) != pres.z2_rank:
         raise InputError("class length does not match the surface's generators")
-    if plus_relation_defect(q):
+    if pin_plus_obstruction(q.surface) is not None:
         raise InvariantViolation(
             "enhancement is not well defined modulo the torsion relations"
         )
-    return _eval_plus_raw(q.values, pres, x.coords)
+    bits = fl.pack_bits(x.coords)
+    terms = (bits & fl.pack_bits(q.values)) ^ (_high_bits(x.coords) & pres.one_sided)
+    terms ^= bits & (bits << 1) & pres.handle_first
+    return terms.bit_count() & 1
 
 
 def act_h1(q: EnhancementMinus | EnhancementPlus, gamma):

@@ -92,8 +92,8 @@ def decide_pin_plus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:
     augmentation agree.  On success every solution is returned as a plus
     enhancement vanishing on all listed classes.
     """
-    # 2g crosscaps is even, so the boundary always carries Pin+; evaluating
-    # the base enhancement still runs the relation check as a guard.
+    # 2g crosscaps is even, so the boundary always carries Pin+ and
+    # eval_qplus never refuses the base enhancement here.
     system = ConstraintSystem("plus", d.boundary, d.listed_classes(), 0)
     reason = "no enhancement vanishes on all attaching and belt classes"
     return system.decide(lambda rank, y: (rank_mismatch(rank, reason), None))

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import pinlef as P
 from pinlef import cli
+from pinlef import finite_linalg as fl
 from pinlef.errors import InputError, ParseError
 
 RP4_TEXT = """\
@@ -315,6 +317,40 @@ def test_sphere_mode_requires_single_dual_surface():
     doc = cli.parse(extra)
     with pytest.raises(InputError, match="exactly one"):
         cli.run("decide", doc, kind="both")
+
+
+_DISK_TEXTS = [RP4_TEXT, SPHERE_TEXT.split("[embedded-surface]")[0]]
+
+
+@pytest.mark.parametrize("disk_text", _DISK_TEXTS)
+def test_sphere_mode_matches_decide_pin_over_s2(disk_text):
+    keys = ("euler", "self_intersection", "cup", "w1sq_surface", "w1sq_normal")
+    for values in product((0, 1), repeat=len(keys)):
+        block = "".join(f"{k} = {v}\n" for k, v in zip(keys, values))
+        doc = cli.parse(disk_text + "\n[embedded-surface]\n" + block)
+        f = P.LefschetzFibration(doc.surface, doc.cycles)
+        verdicts = P.decide_pin_over_s2(f, doc.embedded_surfaces[0])
+        text, _ = cli.run("decide", doc, kind="both")
+        assert f"Pin+ over S2: {'YES' if verdicts.pin_plus else 'NO'}" in text
+        assert f"Pin- over S2: {'YES' if verdicts.pin_minus else 'NO'}" in text
+
+
+@pytest.mark.parametrize("kind, eliminations", [("both", 4), ("minus", 2)])
+def test_sphere_mode_decides_each_kind_once(monkeypatch, kind, eliminations):
+    calls = []
+    original = fl.rref_gf2
+
+    def counted(m):
+        calls.append(1)
+        return original(m)
+
+    monkeypatch.setattr(fl, "rref_gf2", counted)
+    counts = []
+    for text in (SPHERE_TEXT, _DISK_TEXTS[1]):
+        calls.clear()
+        cli.run("decide", cli.parse(text), kind=kind)
+        counts.append(len(calls))
+    assert counts == [eliminations, eliminations]
 
 
 def test_charclass_mode():

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import pinlef as P
+from pinlef import finite_linalg as fl
 from pinlef import surfaces as sf
 from pinlef.errors import InputError, InvariantViolation
 
@@ -407,3 +412,116 @@ def test_self_intersection_at_the_rank_cap_is_linear():
 def test_presentation_cache_is_bounded():
     maxsize = P.homology_presentation.cache_info().maxsize
     assert maxsize is not None and maxsize > 0
+
+
+# ---------------------------------------------------------------------------
+# the packed evaluators against the definitions
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _surface_and_rows(draw):
+    """A surface of either kind, boundary 0-3 and z2 rank at most 12, with
+    two to six coordinate rows of residues 0..3."""
+    boundary = draw(st.integers(0, 3))
+    room = 12 - max(boundary - 1, 0)
+    if draw(st.booleans()):
+        surface = P.orientable_surface(draw(st.integers(0, room // 2)), boundary)
+    else:
+        surface = P.non_orientable_surface(draw(st.integers(1, room)), boundary)
+    r = surface.z2_rank
+    row = st.lists(st.integers(0, 3), min_size=r, max_size=r)
+    return surface, draw(st.lists(row, min_size=2, max_size=6))
+
+
+def _vec(a) -> np.ndarray:
+    return np.array(a, dtype=np.int64).reshape(-1)
+
+
+@given(_surface_and_rows())
+@example((KLEIN, [[1, 3], [2, 2], [3, 0]]))
+@example((P.non_orientable_surface(4, 0), [[2, 1, 3, 0], [1, 1, 2, 3]]))
+@example((P.non_orientable_surface(3, 0), [[2, 2, 2], [1, 0, 3]]))
+@example((P.orientable_surface(2, 2), [[1, 3, 2, 1, 3], [3, 1, 1, 0, 2]]))
+def test_packed_evaluators_match_the_definitions(case):
+    surface, rows = case
+    pres = P.homology_presentation(surface)
+    form = pres.z2_intersection.astype(np.int64)
+    upper = np.triu(form, 1)
+    u, v = _vec(rows[0]), _vec(rows[1])
+    assert sf.pairing_mod2(pres, rows[0], rows[1]) == int(u @ form @ v) % 2
+    assert sf.pairing_mod2(pres, u, v) == int(u @ form @ v) % 2  # int64 rows
+    assert sf.self_intersection_mod2(pres, rows[0]) == int(u @ form @ u) % 2
+
+    # q-: the values on the support, plus 2 for each pair meeting once.
+    shifts = _vec(rows[1]) % 2
+    q_minus = P.EnhancementMinus(
+        surface, tuple(int(d + 2 * t) for d, t in zip(pres.diagonal, shifts))
+    )
+    bits = u % 2
+    minus = bits @ _vec(q_minus.values) + 2 * (bits @ upper @ bits)
+    assert P.eval_qminus(q_minus, P.z2_class(bits)) == int(minus) % 4
+
+    # q+: sum a_i q(g_i) + C(a_i, 2) g_i.g_i + sum_{i<j} a_i a_j g_i.g_j.
+    q_plus = P.EnhancementPlus(surface, tuple(int(a) // 2 for a in rows[1]))
+    x = P.z4_class(rows[0])
+    if sf.pin_plus_obstruction(surface) is None:
+        plus = u @ _vec(q_plus.values) + (u * (u - 1) // 2) @ np.diagonal(form)
+        plus += u @ upper @ u
+        assert P.eval_qplus(q_plus, x) == int(plus) % 2
+    else:
+        with pytest.raises(InvariantViolation, match="not well defined"):
+            P.eval_qplus(q_plus, x)
+
+    k = len(rows)
+    pairs = sum(
+        int(_vec(rows[i]) @ form @ _vec(rows[j]))
+        for i in range(k)
+        for j in range(i + 1, k)
+    )
+    assert sf.pairwise_parity_mod2(pres, rows) == pairs % 2
+
+    howell = fl.howell_z4(pres.z4_relations)
+    twice = [(a + 2) % 4 for a in rows[0]]
+    for other in (rows[1], rows[0], twice):
+        diff = [(a - b) % 4 for a, b in zip(rows[0], other)]
+        y = P.z4_class(other)
+        assert P.z4_classes_equal(surface, x, y) == fl.in_row_module_z4(howell, diff)
+
+
+def test_library_path_never_imports_numpy():
+    # A fresh process: the test session itself has numpy loaded.
+    script = """
+import sys
+import pinlef as P
+from pinlef import cli
+klein = P.non_orientable_surface(2, 0)
+assert P.z4_classes_equal(klein, P.z4_class([1, 1]), P.z4_class([3, 3]))
+assert not P.z4_classes_equal(klein, P.z4_class([0, 2]), P.z4_class([0, 0]))
+q = P.EnhancementPlus(P.non_orientable_surface(1, 1), (1,))
+assert P.eval_qplus(q, P.z4_class([2])) == 1
+for name in ("rp4.pinlef", "s2xrp2.pinlef", "s2xtrp2.pinlef"):
+    doc = cli.parse(cli.bundled_example(name).read_text())
+    f = P.LefschetzFibration(doc.surface, doc.cycles)
+    P.decide_pin_minus(f)
+    P.decide_pin_plus(f)
+d = P.HandlebodyDecomposition3(
+    2,
+    (P.z4_class([1, 2, 2, 1]), P.z4_class([1, 0, 3, 2])),
+    (P.z4_class([1, 1, 0, 2]), P.z4_class([1, 1, 3, 1])),
+)
+P.decide_pin_plus_3mfd(d)
+P.solve_pin_minus_3mfd(d)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+assert not loaded, loaded
+"""
+    src = str(Path(P.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,21 +1,21 @@
 """Exact linear algebra over Z2 and Z4.
 
-Mod-2 elimination works on :class:`BitRows`: one Python int per row, one
-bit per column with the first column most significant, so a row operation
-is one XOR and a row's leading column comes from ``bit_length()`` (the
-packed-row layout of M4RI).  Elimination runs only on this form and always
-ends in the reduced row-echelon form, which is unique for the row space,
-so reduced forms (and everything derived from them: kernels, particular
-solutions, reported certificates) are reproducible bit-exactly.
+Rows are packed into Python ints, one bit per column with the first column
+most significant (the packed-row layout of M4RI): a mod-2 row is one int
+and a mod-4 row a pair of bit planes, its parities and its high bits
+(:func:`pack_bits`, :func:`high_bits`), so an entry reads low + 2 * high.
+A row operation is a few XORs and ANDs, and a leading column comes from
+``bit_length()``.  Mod-2 elimination ends in the reduced row-echelon form,
+unique for the row space, so kernels, particular solutions and
+certificates are bit-exactly reproducible.  Over Z4 echelon forms are not
+canonical, so the row-module routines compute the Howell form, which
+decides membership in a row module by reduction to zero.
 
 The array API (``mat_gf2``, ``vec_gf2``, ``rref_gf2`` on array-likes, the
-affine solvers, ``annihilator_gf2`` and the Z4 routines) takes and returns
-read-only numpy ``uint8`` arrays: it validates, packs, eliminates and
-unpacks.  numpy is imported inside those functions only, so callers that
-stay with BitRows, such as every decider and the command line, never load
-it.  Over Z4 plain echelon forms are not canonical, so the row-module
-routines compute the Howell form instead, which makes membership in a row
-module decidable by reduction to zero.
+affine solvers, ``annihilator_gf2`` and the Z4 routines) validates, packs,
+works on packed rows and returns read-only numpy ``uint8`` arrays.  Only
+its validator and converter import numpy, so callers that stay with packed
+rows, such as every decider and the command line, never load it.
 """
 
 from __future__ import annotations
@@ -36,18 +36,27 @@ if TYPE_CHECKING:
     VecGF2 = np.ndarray
     MatZ4 = np.ndarray
 
-# Residue bytes 0..3 to the ASCII digit of their parity, and 0/1 digits back.
-_PARITY_DIGITS = bytes.maketrans(bytes(range(4)), b"0101")
+# Bytes to the ASCII digit of their bit 0 or bit 1, and 0/1 digits back.
+_PARITY_DIGITS = bytes.maketrans(bytes(range(256)), b"01" * 128)
+_HIGH_DIGITS = bytes.maketrans(bytes(range(256)), b"0011" * 64)
 _DIGIT_BITS = bytes.maketrans(b"01", bytes(range(2)))
+
+
+def _pack(residues, digits: bytes) -> int:
+    if not isinstance(residues, (bytes, tuple, list)):
+        residues = list(residues)  # an array's entries, not its raw buffer
+    return int(bytes(residues).translate(digits) or b"0", 2)
 
 
 def pack_bits(residues) -> int:
     """Parities of a row of residues in 0..3 (bytes, or ints) as one int,
     the first entry most significant."""
-    if not isinstance(residues, (bytes, tuple, list)):
-        residues = list(residues)  # an array's entries, not its raw buffer
-    digits = bytes(residues).translate(_PARITY_DIGITS)
-    return int(digits, 2) if digits else 0
+    return _pack(residues, _PARITY_DIGITS)
+
+
+def high_bits(residues) -> int:
+    """High bits of a row of residues in 0..3, packed like :func:`pack_bits`."""
+    return _pack(residues, _HIGH_DIGITS)
 
 
 def unpack_bits(x: int, ncols: int) -> bytes:
@@ -79,59 +88,63 @@ class BitRows:
 
     def to_array(self) -> MatGF2:
         """The matrix as a read-only uint8 array."""
-        import numpy as np
-
-        data = b"".join(unpack_bits(x, self.ncols) for x in self.rows)
-        return _freeze(np.frombuffer(data, dtype=np.uint8).reshape(self.shape))
+        return _array(self.shape, self.rows)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _array(shape: tuple[int, ...], low=(), high=()) -> np.ndarray:
+    """Rows packed as bit planes, as a read-only uint8 array of the residues
+    low + 2 * high.  Each unpacked plane is one 0/1 byte per entry, so the
+    planes add as ints without carries."""
+    import numpy as np
+
+    data = b"".join(unpack_bits(x, shape[-1]) for x in low)
+    if high:
+        twos = b"".join(unpack_bits(x, shape[-1]) for x in high)
+        total = int.from_bytes(data, "big") + 2 * int.from_bytes(twos, "big")
+        data = total.to_bytes(len(data), "big")
+    return np.frombuffer(data, dtype=np.uint8).reshape(shape)
 
 
 def _vector(x: int, ncols: int) -> VecGF2:
+    return _array((ncols,), (x,))
+
+
+def _residues(entries, modulus: int | None, ndim: int = 2) -> np.ndarray:
+    """Integer or bool entries in 0..modulus-1 (without one, kept mod 256)
+    as a read-only uint8 array; an empty input of any dtype is accepted."""
     import numpy as np
 
-    return _freeze(np.frombuffer(unpack_bits(x, ncols), dtype=np.uint8))
+    a = np.asarray(entries)
+    if a.size and a.dtype.kind not in "biu":
+        raise InputError(f"entries must be integers, not {a.dtype}")
+    a = np.atleast_2d(a) if ndim == 2 else a.reshape(-1)
+    if a.ndim != ndim:
+        raise InputError("matrix must be two-dimensional")
+    if modulus and a.size:
+        if a.max() >= modulus or a.dtype.kind == "i" and a.min() < 0:
+            raise InputError(f"mod-{modulus} entries must lie in 0..{modulus - 1}")
+    a = a.astype(np.uint8)
+    a.flags.writeable = False
+    return a
 
 
 def mat_gf2(entries) -> MatGF2:
     """Validate and freeze a {0,1} matrix.
 
-    Accepts any nested sequence or array; returns a read-only uint8 array
-    of shape (rows, cols).
+    Accepts any nested sequence or array of integers or bools; returns a
+    read-only uint8 array of shape (rows, cols).
     """
-    import numpy as np
-
-    m = np.atleast_2d(np.asarray(entries, dtype=np.int64))
-    if m.ndim != 2:
-        raise InputError("matrix must be two-dimensional")
-    if m.size and not ((m == 0) | (m == 1)).all():
-        raise InputError("mod-2 matrix entries must be 0 or 1")
-    return _freeze(m.astype(np.uint8))
+    return _residues(entries, 2)
 
 
 def vec_gf2(entries) -> VecGF2:
     """Validate and freeze a {0,1} vector."""
-    import numpy as np
-
-    v = np.asarray(entries, dtype=np.int64).reshape(-1)
-    if v.size and not ((v == 0) | (v == 1)).all():
-        raise InputError("mod-2 vector entries must be 0 or 1")
-    return _freeze(v.astype(np.uint8))
+    return _residues(entries, 2, ndim=1)
 
 
 def mat_z4(entries) -> MatZ4:
     """Validate and freeze a matrix with entries in {0,1,2,3}."""
-    import numpy as np
-
-    m = np.atleast_2d(np.asarray(entries, dtype=np.int64))
-    if m.ndim != 2:
-        raise InputError("matrix must be two-dimensional")
-    if m.size and not ((m >= 0) & (m <= 3)).all():
-        raise InputError("mod-4 matrix entries must lie in 0..3")
-    return _freeze(m.astype(np.uint8))
+    return _residues(entries, 4)
 
 
 def rref_gf2(m) -> tuple[int, BitRows | MatGF2, list[int]]:
@@ -332,7 +345,24 @@ def inconsistency_witness_gf2(C: MatGF2, A: VecGF2) -> VecGF2 | None:
     return eliminate_affine_gf2(C, A)[2]
 
 
-_Z4_INVERSE = {1: 1, 3: 3}
+def _z4_rows(m: np.ndarray) -> list[tuple[int, int]]:
+    """A uint8 array's rows as (low, high) plane pairs, one pass per plane."""
+    n = m.shape[1]
+    low, high = (m.tobytes().translate(t) for t in (_PARITY_DIGITS, _HIGH_DIGITS))
+    rows = [slice(i * n, i * n + n) for i in range(len(m))]
+    return [(int(low[r] or b"0", 2), int(high[r] or b"0", 2)) for r in rows]
+
+
+def _entry(row: tuple[int, int], bit: int) -> int:
+    """The residue of a plane pair at the column of ``bit``."""
+    return bool(row[0] & bit) + 2 * bool(row[1] & bit)
+
+
+def _sub_mul(a: tuple[int, int], k: int, b: tuple[int, int]) -> tuple[int, int]:
+    """a - k*b over Z4, as a + (-k)*b: -b flips b's high plane where its low
+    plane is set, 2*b moves the low plane up, and ANDed low planes carry."""
+    low, high = ((0, 0), b, (0, b[0]), (b[0], b[1] ^ b[0]))[-k % 4]
+    return a[0] ^ low, a[1] ^ high ^ (a[0] & low)
 
 
 def howell_z4(m: MatZ4) -> MatZ4:
@@ -342,76 +372,58 @@ def howell_z4(m: MatZ4) -> MatZ4:
     supports membership testing by reduction (see
     :func:`in_row_module_z4`).  Zero rows are dropped.
     """
-    import numpy as np
-
     m = mat_z4(m)
     ncols = m.shape[1]
-    work = [row.astype(np.int64) for row in np.array(m)]
+    work = _z4_rows(m)
     r = 0
-    for c in range(ncols):
-        # Pivot selection: a unit entry if one exists (odd residues are the
-        # units of Z4), otherwise a 2.  A 2-pivot cannot clear odd entries,
-        # so units must win.
-        pivot_at = None
-        for j in range(r, len(work)):
-            if work[j][c] % 2 == 1:
-                pivot_at = j
-                break
-        if pivot_at is None:
-            for j in range(r, len(work)):
-                if work[j][c] % 4 != 0:
-                    pivot_at = j
-                    break
-        if pivot_at is None:
+    for bit in (1 << s for s in reversed(range(ncols))):  # columns left to right
+        # The pivot is the first unit entry (odd residues are the units of
+        # Z4), else the first 2: a 2-pivot cannot clear odd entries.
+        rest = [j for j in range(r, len(work)) if _entry(work[j], bit)]
+        if not rest:
             continue
-        if pivot_at != r:
-            work[r], work[pivot_at] = work[pivot_at], work[r]
-        pivot = int(work[r][c] % 4)
-        if pivot % 2 == 1:
-            work[r] = (work[r] * _Z4_INVERSE[pivot]) % 4
-            for i in range(len(work)):
-                if i != r and work[i][c] % 4:
-                    work[i] = (work[i] - work[i][c] * work[r]) % 4
-        else:  # pivot == 2; every other entry in this column is 0 or 2
-            work[r] = work[r] % 4
-            for i in range(len(work)):
-                if i == r:
-                    continue
-                if work[i][c] % 4 >= 2:
-                    work[i] = (work[i] - work[r]) % 4
-            # Howell condition: the annihilator multiple 2*row starts in a
-            # later column and must stay representable by later rows.
-            extra = (2 * work[r]) % 4
-            if extra.any():
-                work.append(extra)
+        pivot_at = next((j for j in rest if work[j][0] & bit), rest[0])
+        work[r], work[pivot_at] = work[pivot_at], work[r]
+        low, high = work[r]
+        unit = low & bit
+        if unit and high & bit:  # pivot 3 = -1: negate the row
+            work[r] = low, high ^ low
+        # A unit pivot clears its column; a 2-pivot turns 2, 3 into 0, 1.
+        for i, row in enumerate(work):
+            if i != r:
+                k = _entry(row, bit)
+                work[i] = _sub_mul(row, k if unit else k >> 1, work[r])
+        # Howell condition: the annihilator multiple 2*row of a 2-pivot row
+        # starts in a later column and must stay representable by later rows.
+        if not unit and low:
+            work.append((0, low))
         r += 1
-    rows = [row % 4 for row in work[:r] if (row % 4).any()]
-    if not rows:
-        return _freeze(np.zeros((0, ncols), dtype=np.uint8))
-    return _freeze(np.array(rows, dtype=np.uint8))
+    rows = [row for row in work[:r] if row != (0, 0)]
+    return _array((len(rows), ncols), *zip(*rows))
+
+
+def _reduce_z4(h: MatZ4, v) -> tuple[tuple[int, int], int]:
+    """``v`` reduced by the rows of ``h``, as a plane pair, and its length."""
+    h, v = mat_z4(h), _residues(v, None, ndim=1)
+    ncols = h.shape[1]
+    if v.shape[0] != ncols:
+        raise InputError(f"vector length {v.shape[0]} does not match {ncols} columns")
+    x = pack_bits(v.tobytes()), high_bits(v.tobytes())
+    for low, high in _z4_rows(h):
+        bit = 1 << (low | high).bit_length() >> 1  # the pivot column
+        k = _entry(x, bit)
+        if high & bit or not low & bit:  # a 2-pivot clears only an even entry
+            k = 0 if k & 1 else k >> 1
+        x = _sub_mul(x, k, (low, high))
+    return x, ncols
 
 
 def reduce_by_howell_z4(h: MatZ4, v) -> np.ndarray:
     """Reduce a vector by a Howell-form matrix; residue 0 means membership."""
-    import numpy as np
-
-    h = mat_z4(h)
-    v = np.asarray(v, dtype=np.int64).reshape(-1) % 4
-    if v.shape[0] != h.shape[1]:
-        raise InputError(
-            f"vector length {v.shape[0]} does not match {h.shape[1]} columns"
-        )
-    for row in h:
-        row = row.astype(np.int64)
-        c = int(np.nonzero(row)[0][0])
-        pivot = int(row[c])
-        if pivot == 1:
-            v = (v - v[c] * row) % 4
-        elif v[c] % 2 == 0:
-            v = (v - (v[c] // 2) * row) % 4
-    return v
+    x, ncols = _reduce_z4(h, v)
+    return _array((ncols,), [x[0]], [x[1]]).astype("int64")
 
 
 def in_row_module_z4(h: MatZ4, v) -> bool:
     """Membership of ``v`` in the row module spanned by Howell form ``h``."""
-    return not reduce_by_howell_z4(h, v).any()
+    return _reduce_z4(h, v)[0] == (0, 0)

@@ -149,12 +149,7 @@ class HomologyPresentation:
     @cached_property
     def z4_relations(self) -> np.ndarray:
         """The (m, r) read-only uint8 relation rows, residues mod 4."""
-        import numpy as np
-
-        rows = np.array(self.relations, dtype=np.uint8)
-        rows = rows.reshape(len(self.relations), self.z2_rank)
-        rows.flags.writeable = False
-        return rows
+        return fl.mat_z4(self.relations).reshape(len(self.relations), self.z2_rank)
 
 
 # Presentations hold O(r) tables, but a caller of the array views keeps the
@@ -270,14 +265,6 @@ def _pairing_terms(pres: HomologyPresentation, u: int, v: int) -> int:
     return (u & v & pres.one_sided) ^ (crossed & pres.handle_first)
 
 
-_HIGH_BITS = bytes.maketrans(bytes(range(4)), bytes((0, 0, 1, 1)))
-
-
-def _high_bits(residues) -> int:
-    """The high bits of residues 0..3, packed like ``fl.pack_bits``."""
-    return fl.pack_bits(bytes(residues).translate(_HIGH_BITS))
-
-
 def z4_classes_equal(s: SurfaceModel, x: HomologyClass, y: HomologyClass) -> bool:
     """Equality of Z4 classes modulo the surface's relation rows."""
     if x.ring != "Z4" or y.ring != "Z4":
@@ -386,7 +373,7 @@ def eval_qminus(q: EnhancementMinus, x: HomologyClass) -> int:
     if len(x.coords) != pres.z2_rank:
         raise InputError("class length does not match the surface's generators")
     bits = fl.pack_bits(x.coords)
-    twos = (bits & _high_bits(q.values)).bit_count()
+    twos = (bits & fl.high_bits(q.values)).bit_count()
     twos += (bits & (bits << 1) & pres.handle_first).bit_count()
     return ((bits & pres.one_sided).bit_count() + 2 * twos) % 4
 
@@ -411,7 +398,7 @@ def eval_qplus(q: EnhancementPlus, x: HomologyClass) -> int:
             "enhancement is not well defined modulo the torsion relations"
         )
     bits = fl.pack_bits(x.coords)
-    terms = (bits & fl.pack_bits(q.values)) ^ (_high_bits(x.coords) & pres.one_sided)
+    terms = (bits & fl.pack_bits(q.values)) ^ (fl.high_bits(x.coords) & pres.one_sided)
     terms ^= bits & (bits << 1) & pres.handle_first
     return terms.bit_count() & 1
 

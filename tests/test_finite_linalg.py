@@ -255,6 +255,91 @@ def test_howell_canonical_under_row_shuffling(data):
     assert np.array_equal(h, fl.howell_z4(shuffled + [combo]))
 
 
+@pytest.mark.parametrize(
+    "m, expected",
+    [
+        ([[3, 1]], [[1, 3]]),  # a unit pivot 3 is negated
+        ([[2, 1]], [[2, 1], [0, 2]]),  # a 2-pivot appends 2 * row
+        ([[1, 3], [0, 2]], [[1, 1], [0, 2]]),  # entry above a 2-pivot in {0,1}
+        ([[2, 3, 1], [0, 2, 2]], [[2, 1, 3], [0, 2, 2]]),
+        ([[0, 0]], np.zeros((0, 2), dtype=int)),
+        ([[1, 2, 3], [3, 2, 1], [2, 0, 2]], [[1, 2, 3]]),
+    ],
+)
+def test_howell_exact_form(m, expected):
+    h = fl.howell_z4(m)
+    assert h.dtype == np.uint8 and not h.flags.writeable
+    assert h.shape == np.shape(expected)
+    assert h.tolist() == np.asarray(expected).tolist()
+
+
+def test_reduce_by_non_howell_rows_keeps_the_even_branch():
+    # A pivot 3 is not a Howell pivot; an odd entry under it is left alone.
+    assert fl.reduce_by_howell_z4([[3, 1]], [1, 1]).tolist() == [1, 1]
+    assert fl.reduce_by_howell_z4([[2, 1]], [3, 1]).tolist() == [3, 1]
+
+
+def test_reduce_skips_zero_rows():
+    # A zero row spans nothing, so reducing by it changes nothing.
+    reduced = fl.reduce_by_howell_z4([[0, 0], [1, 2]], [3, 1])
+    assert reduced.dtype == np.int64 and reduced.tolist() == [0, 3]
+    assert fl.in_row_module_z4([[0, 0], [1, 2]], [3, 2])
+
+
+def test_howell_rows_wider_than_a_machine_word():
+    rng = random.Random(65)
+    ncols, even_col = 70, 66
+    m = [[rng.randrange(4) for _ in range(ncols)] for _ in range(6)]
+    for row in m:
+        row[even_col] &= 2
+    h = fl.howell_z4(m)
+    assert h.shape[1] == ncols and h.shape[0] >= 6
+    assert np.array_equal(h, fl.howell_z4(h))
+
+    shuffled = list(m)
+    rng.shuffle(shuffled)
+    combo = [0] * ncols
+    for row in m:
+        c = rng.randrange(4)
+        combo = [(x + c * y) % 4 for x, y in zip(combo, row)]
+    assert np.array_equal(h, fl.howell_z4(shuffled + [combo]))
+
+    for _ in range(20):
+        v = [0] * ncols
+        for row in m:
+            c = rng.randrange(4)
+            v = [(x + c * y) % 4 for x, y in zip(v, row)]
+        assert fl.in_row_module_z4(h, v)
+    unit = [0] * ncols
+    unit[even_col] = 1
+    assert not fl.in_row_module_z4(h, unit)
+
+
+@pytest.mark.parametrize(
+    "convert, entries",
+    [
+        (fl.mat_gf2, [[1.7, 0.2]]),
+        (fl.vec_gf2, [0.9]),
+        (fl.mat_z4, [[3.5]]),
+        (fl.mat_gf2, [["1"]]),
+        (fl.mat_gf2, [[1.0, 0.0]]),
+    ],
+)
+def test_non_integer_entries_are_rejected(convert, entries):
+    with pytest.raises(InputError):
+        convert(entries)
+
+
+def test_non_integer_vector_is_rejected_by_membership():
+    with pytest.raises(InputError):
+        fl.in_row_module_z4([[1, 0]], [0.5, 0])
+    # integer vectors are still read mod 4, and empty input is accepted
+    assert fl.reduce_by_howell_z4([[1, 0]], [5, -2]).tolist() == [0, 2]
+    assert fl.mat_gf2([]).size == 0 and fl.mat_z4([[]]).size == 0
+    assert fl.vec_gf2([]).shape == (0,)
+    assert fl.mat_gf2([[True, False]]).tolist() == [[1, 0]]
+
+
 def test_input_validation():
     with pytest.raises(InputError):
         fl.mat_gf2([[0, 2]])

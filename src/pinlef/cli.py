@@ -30,22 +30,18 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
-from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import surfaces as sf
 from . import lefschetz as lf
 from . import threefolds as tf
-from .charclasses import (
-    EmbeddedSurfaceData,
-    eval_w1sq,
-    eval_w2,
-    pin_obstruction_summary,
-)
+from ._record import Record
 from .errors import InputError, ParseError, PinlefError
+
+if TYPE_CHECKING:
+    from .charclasses import EmbeddedSurfaceData
 
 # Each section and the keys it takes once.  [cycles] holds residue rows only;
 # the threefold's attach and belt keys are repeatable rows, read apart.
@@ -68,14 +64,22 @@ _ENUMERATE_LIMIT = 1 << 20
 _DIGITS = bytes.maketrans(bytes(range(4)), b"0123")
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(Record):
     """Validated content of a description file."""
 
-    surface: sf.SurfaceModel
-    cycles: tuple[sf.HomologyClass, ...] | None = None
-    threefold: tf.HandlebodyDecomposition3 | None = None
-    embedded_surfaces: tuple[EmbeddedSurfaceData, ...] = ()
+    __match_args__ = ("surface", "cycles", "threefold", "embedded_surfaces")
+
+    def __init__(
+        self,
+        surface: sf.SurfaceModel,
+        cycles: tuple[sf.HomologyClass, ...] | None = None,
+        threefold: tf.HandlebodyDecomposition3 | None = None,
+        embedded_surfaces: tuple[EmbeddedSurfaceData, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "threefold", threefold)
+        object.__setattr__(self, "embedded_surfaces", embedded_surfaces)
 
 
 # ---------------------------------------------------------------------------
@@ -184,34 +188,16 @@ def parse(text: str) -> InputDocument:
             pairs["threefold"], three_rows, surface, seen["threefold"]
         )
 
-    blocks = []
-    for idx, (kv, block_line) in enumerate(embedded):
-        fields = {}
-        for key in _KEYS["embedded-surface"]:
-            if key not in kv:
-                raise ParseError(
-                    block_line, f"embedded-surface block {idx + 1} is missing {key!r}"
-                )
-            value, lineno = kv[key]
-            bit = _parse_int(value, lineno, key)
-            if bit not in (0, 1):
-                raise ParseError(lineno, f"{key} must be 0 or 1, got {bit}")
-            fields[key] = bit
-        blocks.append(
-            EmbeddedSurfaceData(
-                euler_char_mod2=fields["euler"],
-                self_intersection_mod2=fields["self_intersection"],
-                cup_term=fields["cup"],
-                w1sq_sigma=fields["w1sq_surface"],
-                w1sq_normal=fields["w1sq_normal"],
-            )
-        )
+    blocks = tuple(
+        _build_embedded(kv, block_line, n)
+        for n, (kv, block_line) in enumerate(embedded, start=1)
+    )
 
     return InputDocument(
         surface=surface,
         cycles=cycles,
         threefold=threefold,
-        embedded_surfaces=tuple(blocks),
+        embedded_surfaces=blocks,
     )
 
 
@@ -239,6 +225,32 @@ def _build_surface(kv: dict[str, tuple[str, int]], header_line: int) -> sf.Surfa
         return sf.SurfaceModel(kind, count, boundary)
     except InputError as e:
         raise ParseError(header_line, str(e)) from None
+
+
+def _build_embedded(
+    kv: dict[str, tuple[str, int]], header_line: int, n: int
+) -> EmbeddedSurfaceData:
+    # Only documents with an [embedded-surface] block load charclasses.
+    from .charclasses import EmbeddedSurfaceData
+
+    fields = {}
+    for key in _KEYS["embedded-surface"]:
+        if key not in kv:
+            raise ParseError(
+                header_line, f"embedded-surface block {n} is missing {key!r}"
+            )
+        value, lineno = kv[key]
+        bit = _parse_int(value, lineno, key)
+        if bit not in (0, 1):
+            raise ParseError(lineno, f"{key} must be 0 or 1, got {bit}")
+        fields[key] = bit
+    return EmbeddedSurfaceData(
+        euler_char_mod2=fields["euler"],
+        self_intersection_mod2=fields["self_intersection"],
+        cup_term=fields["cup"],
+        w1sq_sigma=fields["w1sq_surface"],
+        w1sq_normal=fields["w1sq_normal"],
+    )
 
 
 def _build_threefold(
@@ -376,15 +388,22 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-@dataclass(frozen=True)
-class _Section:
+class _Section(Record):
     """A report section: ``--format machine`` prints ``[name]`` and its
     ``key = value`` pairs, ``--format text`` prints its text lines.  Both
     may be lazy; only the one rendered is consumed."""
 
-    name: str
-    pairs: Iterable[tuple[str, object]]
-    text: Iterable[str] = ()
+    __match_args__ = ("name", "pairs", "text")
+
+    def __init__(
+        self,
+        name: str,
+        pairs: Iterable[tuple[str, object]],
+        text: Iterable[str] = (),
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "text", text)
 
 
 def _render(sections: list[_Section], fmt: str) -> Iterator[str]:
@@ -454,27 +473,8 @@ def _run_decide(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
     sections = [_header("decide", kind, ("mode", mode))]
     sections.append(_Section("surface", _surface_pairs(s), surface_text))
     if mode == "charclass":
-        blocks = doc.embedded_surfaces
-        summary = pin_obstruction_summary(blocks)
-        pairs: list[tuple[str, object]] = [("surfaces", len(blocks))]
-        text = [f"embedded surfaces: {len(blocks)}"]
-        for n, d in enumerate(blocks, start=1):
-            pairs += [(f"w2.{n}", eval_w2(d)), (f"w1sq.{n}", eval_w1sq(d))]
-            text.append(f"surface {n}: w2 = {eval_w2(d)}, w1^2 = {eval_w1sq(d)}")
-        obstructed = {
-            "plus": summary.pin_plus_obstructed,
-            "minus": summary.pin_minus_obstructed,
-        }
-        for k in kinds:
-            word = "obstructed" if obstructed[k] else "unobstructed"
-            pairs.append((f"pin_{k}", word))
-            text.append(f"Pin{_sign(k)}: {word}")
-        if summary.empty_generating_set:
-            note = "empty generating set; verdicts vacuous"
-            pairs.append(("caveat", note))
-            text.append(f"caveat: {note}")
-        sections.append(_Section("obstructions", pairs, text))
-        return sections, 1 if any(obstructed[k] for k in kinds) else 0
+        section, status = _obstruction_section(doc.embedded_surfaces, kinds)
+        return sections + [section], status
     if mode == "threefold":
         sections.append(_threefold_section(doc.threefold))
     reports = [_decide(doc, k) for k in kinds]
@@ -495,6 +495,34 @@ def _run_decide(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
         sections.append(_Section("over-s2", pairs, text))
         ok = all(over[k] for k in kinds)
     return sections, 0 if ok else 1
+
+
+def _obstruction_section(
+    blocks: tuple[EmbeddedSurfaceData, ...], kinds: list[str]
+) -> tuple[_Section, int]:
+    """The charclass-mode verdicts and exit status."""
+    from .charclasses import eval_w1sq, eval_w2, pin_obstruction_summary
+
+    summary = pin_obstruction_summary(blocks)
+    pairs: list[tuple[str, object]] = [("surfaces", len(blocks))]
+    text = [f"embedded surfaces: {len(blocks)}"]
+    for n, d in enumerate(blocks, start=1):
+        pairs += [(f"w2.{n}", eval_w2(d)), (f"w1sq.{n}", eval_w1sq(d))]
+        text.append(f"surface {n}: w2 = {eval_w2(d)}, w1^2 = {eval_w1sq(d)}")
+    obstructed = {
+        "plus": summary.pin_plus_obstructed,
+        "minus": summary.pin_minus_obstructed,
+    }
+    for k in kinds:
+        word = "obstructed" if obstructed[k] else "unobstructed"
+        pairs.append((f"pin_{k}", word))
+        text.append(f"Pin{_sign(k)}: {word}")
+    if summary.empty_generating_set:
+        note = "empty generating set; verdicts vacuous"
+        pairs.append(("caveat", note))
+        text.append(f"caveat: {note}")
+    status = 1 if any(obstructed[k] for k in kinds) else 0
+    return _Section("obstructions", pairs, text), status
 
 
 def _target(doc: InputDocument, command: str) -> sf.SurfaceModel:
@@ -629,6 +657,8 @@ def run(command: str, doc: InputDocument, kind: str = "both", fmt: str = "text")
 
 def bundled_example(name: str) -> Path:
     """Path to one of the example files shipped with the package."""
+    from importlib import resources
+
     return Path(str(resources.files(__package__).joinpath("data", name)))
 
 

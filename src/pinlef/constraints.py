@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import finite_linalg as fl
 from . import surfaces as sf
+from ._record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,8 +33,7 @@ def _pack(values) -> int:
     return int.from_bytes(bytes(values), "big")
 
 
-@dataclass(frozen=True)
-class StructureSet:
+class StructureSet(Record):
     """The solutions of a system, described without listing them.
 
     Values are packed by ``_pack``.  ``first`` is the smallest structure
@@ -47,10 +46,19 @@ class StructureSet:
     enhancements only when indexed or iterated.
     """
 
-    kind: str
-    surface: sf.SurfaceModel
-    first: int | None
-    kernel: tuple[int, ...] = ()
+    __match_args__ = ("kind", "surface", "first", "kernel")
+
+    def __init__(
+        self,
+        kind: str,
+        surface: sf.SurfaceModel,
+        first: int | None,
+        kernel: tuple[int, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "kernel", kernel)
 
     @property
     def count(self) -> int:
@@ -123,8 +131,7 @@ class StructureSet:
         return _ENHANCEMENT[self.kind](self.surface, values)
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(Record):
     """Outcome of a Pin decision: verdict, count, structures, certificate.
 
     When structures exist, ``structure_count`` equals
@@ -136,13 +143,33 @@ class DecisionReport:
     family).
     """
 
-    kind: str
-    exists: bool
-    structure_count: int
-    structures: StructureSet
-    h1_annihilator_dim: int
-    certificate: str | None = None
-    witness: ObstructionWitness | None = None
+    __match_args__ = (
+        "kind",
+        "exists",
+        "structure_count",
+        "structures",
+        "h1_annihilator_dim",
+        "certificate",
+        "witness",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        exists: bool,
+        structure_count: int,
+        structures: StructureSet,
+        h1_annihilator_dim: int,
+        certificate: str | None = None,
+        witness: ObstructionWitness | None = None,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "exists", exists)
+        object.__setattr__(self, "structure_count", structure_count)
+        object.__setattr__(self, "structures", structures)
+        object.__setattr__(self, "h1_annihilator_dim", h1_annihilator_dim)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "witness", witness)
 
 
 def z2_rows(surface: sf.SurfaceModel, classes) -> fl.BitRows:
@@ -167,15 +194,23 @@ def rank_mismatch(rank: int, reason: str) -> str:
     return f"rank(C) = {rank} != rank(C|A) = {rank + 1}; {reason}"
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(Record):
     """Enhancements of ``kind`` ("minus" or "plus") on ``surface`` taking
     the value ``target`` on each of the Z4 ``classes``, in row order."""
 
-    kind: str
-    surface: sf.SurfaceModel
-    classes: tuple[sf.HomologyClass, ...]
-    target: int
+    __match_args__ = ("kind", "surface", "classes", "target")
+
+    def __init__(
+        self,
+        kind: str,
+        surface: sf.SurfaceModel,
+        classes: tuple[sf.HomologyClass, ...],
+        target: int,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "target", target)
 
     def decide(self, certify: Callable[[int, list[int]], tuple]) -> DecisionReport:
         """Solve the system once; describe every structure or certify a NO.

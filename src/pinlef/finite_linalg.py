@@ -21,10 +21,10 @@ rows, such as every decider and the command line, never load it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from ._record import Record
 from .errors import InputError
 
 if TYPE_CHECKING:
@@ -69,12 +69,14 @@ def set_columns(x: int, ncols: int) -> list[int]:
     return [j for j, bit in enumerate(unpack_bits(x, ncols)) if bit]
 
 
-@dataclass(frozen=True)
-class BitRows:
+class BitRows(Record):
     """A mod-2 matrix as one int per row; column j is bit ncols - 1 - j."""
 
-    rows: tuple[int, ...]
-    ncols: int
+    __match_args__ = ("rows", "ncols")
+
+    def __init__(self, rows: tuple[int, ...], ncols: int) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ncols", ncols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -109,12 +111,21 @@ def _vector(x: int, ncols: int) -> VecGF2:
     return _array((ncols,), (x,))
 
 
+def _asarray(entries) -> np.ndarray:
+    import numpy as np
+
+    try:
+        return np.asarray(entries)
+    except ValueError:  # numpy refuses rows of different lengths
+        raise InputError("entries must form a rectangular array") from None
+
+
 def _residues(entries, modulus: int | None, ndim: int = 2) -> np.ndarray:
     """Integer or bool entries in 0..modulus-1 (without one, kept mod 256)
     as a read-only uint8 array; an empty input of any dtype is accepted."""
     import numpy as np
 
-    a = np.asarray(entries)
+    a = _asarray(entries)
     if a.size and a.dtype.kind not in "biu":
         raise InputError(f"entries must be integers, not {a.dtype}")
     a = np.atleast_2d(a) if ndim == 2 else a.reshape(-1)
@@ -274,8 +285,7 @@ def annihilator_gf2(rows: MatGF2) -> list[VecGF2]:
     return [_vector(k, C.ncols) for k in kernel]
 
 
-@dataclass(frozen=True, eq=False)
-class AffineSolutionGF2:
+class AffineSolutionGF2(Record):
     """Full solution set of a solvable mod-2 affine system C x = A.
 
     ``particular`` is the lexicographically smallest solution vector and
@@ -284,8 +294,13 @@ class AffineSolutionGF2:
     exactly ``2 ** len(kernel_basis)`` elements.
     """
 
-    particular: VecGF2
-    kernel_basis: tuple[VecGF2, ...]
+    __match_args__ = ("particular", "kernel_basis")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, particular: VecGF2, kernel_basis: tuple[VecGF2, ...]) -> None:
+        object.__setattr__(self, "particular", particular)
+        object.__setattr__(self, "kernel_basis", kernel_basis)
 
     @property
     def count(self) -> int:
@@ -402,14 +417,32 @@ def howell_z4(m: MatZ4) -> MatZ4:
     return _array((len(rows), ncols), *zip(*rows))
 
 
+# (key, (column count, plane pairs)) of the last Howell form reduced by: a
+# membership loop passes the same h for every vector.  The key is the array's
+# shape, dtype and bytes, all that its validation depends on.
+_last_howell: tuple = (None, None)
+
+
+def _howell_rows(h: MatZ4) -> tuple[int, list[tuple[int, int]]]:
+    global _last_howell
+    a = _asarray(h)
+    key = (a.shape, a.dtype.str, a.tobytes())
+    seen, packed = _last_howell
+    if key != seen:
+        m = mat_z4(a)
+        packed = m.shape[1], _z4_rows(m)
+        _last_howell = key, packed
+    return packed
+
+
 def _reduce_z4(h: MatZ4, v) -> tuple[tuple[int, int], int]:
     """``v`` reduced by the rows of ``h``, as a plane pair, and its length."""
-    h, v = mat_z4(h), _residues(v, None, ndim=1)
-    ncols = h.shape[1]
+    ncols, rows = _howell_rows(h)
+    v = _residues(v, None, ndim=1)
     if v.shape[0] != ncols:
         raise InputError(f"vector length {v.shape[0]} does not match {ncols} columns")
     x = pack_bits(v.tobytes()), high_bits(v.tobytes())
-    for low, high in _z4_rows(h):
+    for low, high in rows:
         bit = 1 << (low | high).bit_length() >> 1  # the pivot column
         k = _entry(x, bit)
         if high & bit or not low & bit:  # a 2-pivot clears only an even entry

@@ -19,13 +19,12 @@ and serves as an independent oracle for the linear-algebra route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import finite_linalg as fl
 from . import surfaces as sf
-from .charclasses import EmbeddedSurfaceData
+from ._record import Record
 from .constraints import (
     ConstraintSystem,
     DecisionReport,
@@ -38,9 +37,10 @@ from .errors import InputError, InvariantViolation
 if TYPE_CHECKING:
     import numpy as np
 
+    from .charclasses import EmbeddedSurfaceData
 
-@dataclass(frozen=True)
-class LefschetzFibration:
+
+class LefschetzFibration(Record):
     """Regular fiber plus ordered vanishing-cycle classes over Z4.
 
     Every cycle must be two-sided in the fiber: its mod-2 reduction has
@@ -48,8 +48,14 @@ class LefschetzFibration:
     needed.  An empty cycle list is legal and means the product fibration.
     """
 
-    fiber: sf.SurfaceModel
-    cycles: tuple[sf.HomologyClass, ...] = ()
+    __match_args__ = ("fiber", "cycles")
+
+    def __init__(
+        self, fiber: sf.SurfaceModel, cycles: tuple[sf.HomologyClass, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "cycles", cycles)
+        self.__post_init__()
 
     def __post_init__(self):
         pres = sf.homology_presentation(self.fiber)
@@ -72,8 +78,7 @@ class LefschetzFibration:
         return z2_matrix(self.fiber, self.cycles)
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
+class ObstructionWitness(Record):
     """A dependent cycle family certifying Pin- non-existence.
 
     The class of cycle ``lead`` equals the mod-2 sum of the classes of
@@ -81,9 +86,12 @@ class ObstructionWitness:
     is the parity of the pairwise intersections among the summands.
     """
 
-    lead: int
-    summands: tuple[int, ...]
-    pair_sum: int
+    __match_args__ = ("lead", "summands", "pair_sum")
+
+    def __init__(self, lead: int, summands: tuple[int, ...], pair_sum: int) -> None:
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "pair_sum", pair_sum)
 
     @property
     def k(self) -> int:

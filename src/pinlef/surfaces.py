@@ -32,12 +32,12 @@ sets are torsors over mod-2 cohomology via :func:`act_h1`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
 
 from . import finite_linalg as fl
+from ._record import Record
 from .errors import InputError, InvariantViolation
 
 if TYPE_CHECKING:
@@ -50,13 +50,31 @@ NON_ORIENTABLE = "non-orientable"
 MAX_Z2_RANK = 4096
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(Record):
     """A compact surface: orientability, genus/crosscap count, boundary count."""
 
-    kind: str
-    genus_or_crosscaps: int
-    boundary_components: int = 0
+    __match_args__ = ("kind", "genus_or_crosscaps", "boundary_components")
+
+    def __init__(
+        self, kind: str, genus_or_crosscaps: int, boundary_components: int = 0
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "genus_or_crosscaps", genus_or_crosscaps)
+        object.__setattr__(self, "boundary_components", boundary_components)
+        self.__post_init__()
+
+    # Written out: homology_presentation's cache hashes a surface per call.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.genus_or_crosscaps, self.boundary_components) == (
+            other.kind,
+            other.genus_or_crosscaps,
+            other.boundary_components,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.genus_or_crosscaps, self.boundary_components))
 
     def __post_init__(self):
         if self.kind not in (ORIENTABLE, NON_ORIENTABLE):
@@ -98,8 +116,7 @@ def non_orientable_surface(crosscaps: int, boundary: int = 0) -> SurfaceModel:
     return SurfaceModel(NON_ORIENTABLE, crosscaps, boundary)
 
 
-@dataclass(frozen=True, eq=False)
-class HomologyPresentation:
+class HomologyPresentation(Record):
     """Generators, mod-2 intersection form, and Z4 relation rows.
 
     Each generator meets at most one other generator, so the form is kept
@@ -112,11 +129,23 @@ class HomologyPresentation:
     or the command line reads them.
     """
 
-    generators: tuple[str, ...]
-    z2_rank: int
-    diagonal: tuple[int, ...]
-    partner: tuple[int, ...]
-    relations: tuple[tuple[int, ...], ...]
+    __match_args__ = ("generators", "z2_rank", "diagonal", "partner", "relations")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        generators: tuple[str, ...],
+        z2_rank: int,
+        diagonal: tuple[int, ...],
+        partner: tuple[int, ...],
+        relations: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "z2_rank", z2_rank)
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "partner", partner)
+        object.__setattr__(self, "relations", relations)
 
     @property
     def rank(self) -> int:
@@ -195,8 +224,7 @@ def pin_plus_exists_surface(s: SurfaceModel) -> bool:
     return pin_plus_obstruction(s) is None
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(Record):
     """A coefficient vector over the generators, with ring tag Z2 or Z4.
 
     Z4 classes are representatives: on surfaces with relation rows two
@@ -204,8 +232,12 @@ class HomologyClass:
     the relation row module (see :func:`z4_classes_equal`).
     """
 
-    ring: str
-    coords: tuple[int, ...]
+    __match_args__ = ("ring", "coords")
+
+    def __init__(self, ring: str, coords: tuple[int, ...]) -> None:
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.ring not in ("Z2", "Z4"):
@@ -293,8 +325,7 @@ def format_class(pres: HomologyPresentation, coords) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnhancementMinus:
+class EnhancementMinus(Record):
     """Z4-valued enhancement of the mod-2 intersection form.
 
     Stored by its values on the generators.  The rule
@@ -302,8 +333,12 @@ class EnhancementMinus:
     generator, which is validated here.
     """
 
-    surface: SurfaceModel
-    values: tuple[int, ...]
+    __match_args__ = ("surface", "values")
+
+    def __init__(self, surface: SurfaceModel, values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         pres = homology_presentation(self.surface)
@@ -321,8 +356,7 @@ class EnhancementMinus:
                 )
 
 
-@dataclass(frozen=True)
-class EnhancementPlus:
+class EnhancementPlus(Record):
     """Z2-valued enhancement of mod-4 homology.
 
     Stored by its values on the generators.  Every assignment takes the
@@ -330,8 +364,12 @@ class EnhancementPlus:
     defined exactly when :func:`pin_plus_obstruction` is set.
     """
 
-    surface: SurfaceModel
-    values: tuple[int, ...]
+    __match_args__ = ("surface", "values")
+
+    def __init__(self, surface: SurfaceModel, values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         pres = homology_presentation(self.surface)

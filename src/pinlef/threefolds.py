@@ -15,10 +15,10 @@ classes followed by the belt classes (reports keep this row order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import surfaces as sf
+from ._record import Record
 from .constraints import ConstraintSystem, DecisionReport, rank_mismatch, z2_matrix
 from .errors import InputError, InvalidDecomposition, InvariantViolation
 
@@ -26,8 +26,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class HandlebodyDecomposition3:
+class HandlebodyDecomposition3(Record):
     """Genus plus attaching and belt classes on the boundary surface.
 
     The boundary is the closed non-orientable surface with 2*genus
@@ -36,9 +35,18 @@ class HandlebodyDecomposition3:
     curve data is not modelled, only homological soundness.
     """
 
-    genus: int
-    attaching_classes: tuple[sf.HomologyClass, ...]
-    belt_classes: tuple[sf.HomologyClass, ...]
+    __match_args__ = ("genus", "attaching_classes", "belt_classes")
+
+    def __init__(
+        self,
+        genus: int,
+        attaching_classes: tuple[sf.HomologyClass, ...],
+        belt_classes: tuple[sf.HomologyClass, ...],
+    ) -> None:
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "attaching_classes", attaching_classes)
+        object.__setattr__(self, "belt_classes", belt_classes)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.genus < 1:

@@ -541,6 +541,51 @@ assert not loaded, loaded
     assert proc.returncode == 0, proc.stderr
 
 
+def _modules_after(script: str, *args: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``script``, which
+    ends by writing ``sys.modules`` to stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+_RUN_COMMANDS = """
+import sys
+from pinlef import cli
+for f in sys.argv[2:]:
+    for command in sys.argv[1].split(","):
+        assert cli.main([command, f]) in (0, 1)
+sys.stderr.write(" ".join(sys.modules))
+"""
+
+
+def test_commands_load_only_what_they_need(tmp_path):
+    # Fresh processes; `site` may preload some modules, so what counts is what
+    # a command loads beyond a bare interpreter.
+    bare = _modules_after("import sys; sys.stderr.write(' '.join(sys.modules))")
+    heavy = {"dataclasses", "inspect", "ast", "pinlef.charclasses"}
+    threefold = tmp_path / "threefold.pinlef"
+    threefold.write_text(THREEFOLD_TEXT)
+    rp4 = Path(cli.__file__).parent / "data" / "rp4.pinlef"
+    commands = "decide,enumerate,oracle,surface-info"
+    loaded = _modules_after(_RUN_COMMANDS, commands, str(rp4), str(threefold))
+    assert "pinlef.threefolds" in loaded
+    assert not (loaded - bare) & heavy, sorted((loaded - bare) & heavy)
+    # Embedded-surface data still decides, and loads its module.
+    sphere = tmp_path / "sphere.pinlef"
+    sphere.write_text(SPHERE_TEXT)
+    loaded = _modules_after(_RUN_COMMANDS, "decide", str(sphere))
+    assert "pinlef.charclasses" in loaded
+
+
 _EXAMPLE_LINES = [
     cli.bundled_example(name).read_text().splitlines()
     for name in ("rp4.pinlef", "s2xrp2.pinlef", "s2xtrp2.pinlef")

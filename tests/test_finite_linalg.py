@@ -470,3 +470,45 @@ def test_packed_eliminate_certifies_unsolvable_systems(mat, rhs):
         combination ^= C.rows[i]
     assert combination == 0  # y.C = 0
     assert sum(rhs[i] for i in picked) % 2 == 1  # y.A = 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fl.mat_gf2([[1], [1, 0]]),
+        lambda: fl.mat_z4([[1], [1, 0]]),
+        lambda: fl.vec_gf2([[1], [1, 0]]),
+        lambda: fl.rref_gf2([[1, 0], [1]]),
+        lambda: fl.howell_z4([[1, 2, 3], [1]]),
+        lambda: fl.in_row_module_z4([[1, 0], [1]], [1, 0]),
+        lambda: fl.in_row_module_z4([[1, 0]], [[1], [1, 0]]),
+        lambda: fl.reduce_by_howell_z4([[1, 0]], [1, [0]]),
+    ],
+    ids=["mat", "mat_z4", "vec", "rref", "howell", "h", "v", "reduce"],
+)
+def test_ragged_input_is_an_input_error(call):
+    with pytest.raises(InputError, match="rectangular"):
+        call()
+
+
+def test_membership_reads_each_howell_form_by_its_content():
+    # Consecutive forms alike in bytes or in object, but not in content.
+    square = fl.howell_z4([[1, 0], [0, 2]])  # entries 1, 0, 0, 2
+    flat = np.array([[1, 0, 0, 2]], dtype=np.uint8)  # the same bytes
+    assert fl.in_row_module_z4(square, [0, 2])
+    assert not fl.in_row_module_z4(square, [0, 1])
+    assert fl.in_row_module_z4(flat, [3, 0, 0, 2])
+    assert not fl.in_row_module_z4(flat, [1, 0, 0, 0])
+    wide = np.array([[1, 0], [0, 2]], dtype=np.int64)  # the same values
+    assert fl.in_row_module_z4(wide, [0, 2])
+    h = np.array([[1, 0]], dtype=np.int64)
+    assert not fl.in_row_module_z4(h, [0, 1])
+    h[0, 1] = 1  # the same object, changed in place
+    assert fl.in_row_module_z4(h, [1, 1])
+    assert not fl.in_row_module_z4(h, [1, 0])
+    h[0, 1] = 4  # now out of range: validated again
+    with pytest.raises(InputError):
+        fl.in_row_module_z4(h, [1, 0])
+    with pytest.raises(InputError):
+        fl.in_row_module_z4(square, [1, 0, 0])
+    assert fl.in_row_module_z4(square, [2, 2])

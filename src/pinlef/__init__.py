@@ -70,6 +70,7 @@ _EXPORTS = {
     "decide_pin_plus_3mfd": "threefolds",
     "solve_pin_minus_3mfd": "threefolds",
 }
+__all__ = sorted(_EXPORTS)
 # Submodules reachable as attributes after a bare ``import pinlef``.
 _SUBMODULES = frozenset(_EXPORTS.values()) | {"constraints"}
 
@@ -94,60 +95,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
 
-
-__all__ = [
-    "AffineSolutionGF2",
-    "DecisionReport",
-    "EmbeddedSurfaceData",
-    "EnhancementMinus",
-    "EnhancementPlus",
-    "HandlebodyDecomposition3",
-    "HomologyClass",
-    "HomologyPresentation",
-    "InputError",
-    "InvalidDecomposition",
-    "InvariantViolation",
-    "LefschetzFibration",
-    "ObstructionSummary",
-    "ObstructionWitness",
-    "ParseError",
-    "PinlefError",
-    "SphereVerdicts",
-    "SurfaceModel",
-    "act_h1",
-    "annihilator_gf2",
-    "base_enhancement_minus",
-    "base_enhancement_plus",
-    "brute_force_pin_minus",
-    "brute_force_pin_minus_3mfd",
-    "brute_force_pin_plus",
-    "brute_force_pin_plus_3mfd",
-    "construct_pin_minus_3mfd",
-    "decide_pin_minus",
-    "decide_pin_over_s2",
-    "decide_pin_plus",
-    "decide_pin_plus_3mfd",
-    "enumerate_enhancements",
-    "eval_qminus",
-    "eval_qplus",
-    "eval_w1sq",
-    "eval_w2",
-    "fibration_h1_annihilator",
-    "homology_presentation",
-    "howell_z4",
-    "in_row_module_z4",
-    "mat_gf2",
-    "mat_z4",
-    "non_orientable_surface",
-    "orientable_surface",
-    "pin_minus_witness_search",
-    "pin_obstruction_summary",
-    "pin_plus_exists_surface",
-    "rref_gf2",
-    "solve_affine_gf2",
-    "solve_pin_minus_3mfd",
-    "vec_gf2",
-    "z2_class",
-    "z4_class",
-    "z4_classes_equal",
-]

@@ -43,15 +43,23 @@ from .errors import InputError, ParseError, PinlefError
 if TYPE_CHECKING:
     from .charclasses import EmbeddedSurfaceData
 
+# Each [embedded-surface] key and the EmbeddedSurfaceData field it sets.
+_EMBEDDED_FIELDS = {
+    "euler": "euler_char_mod2",
+    "self_intersection": "self_intersection_mod2",
+    "cup": "cup_term",
+    "w1sq_surface": "w1sq_sigma",
+    "w1sq_normal": "w1sq_normal",
+}
+# The threefold's repeatable row keys: attaching classes, then belt classes.
+_ROW_KEYS = ("attach", "belt")
 # Each section and the keys it takes once.  [cycles] holds residue rows only;
-# the threefold's attach and belt keys are repeatable rows, read apart.
+# the threefold's row keys are read apart.
 _KEYS = {
-    "surface": ("kind", "genus", "crosscaps", "boundary"),
+    "surface": ("kind", *sf.COUNT_KEY.values(), "boundary"),
     "cycles": (),
     "threefold": ("genus",),
-    "embedded-surface": (
-        "euler", "self_intersection", "cup", "w1sq_surface", "w1sq_normal"
-    ),
+    "embedded-surface": _EMBEDDED_FIELDS,
 }
 _SECTION_RE = re.compile(r"^\[([a-z-]+)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z0-9_-]+)\s*=\s*(.*)$")
@@ -118,7 +126,7 @@ def parse(text: str) -> InputDocument:
     pairs: dict[str, dict[str, tuple[str, int]]] = {"surface": {}, "threefold": {}}
     cycles_rows: list[tuple[list[int], int]] = []
     seen: dict[str, int] = {}
-    three_rows: dict[str, list[tuple[list[int], int]]] = {"attach": [], "belt": []}
+    three_rows: dict[str, list[tuple[list[int], int]]] = {k: [] for k in _ROW_KEYS}
     embedded: list[tuple[dict[str, tuple[str, int]], int]] = []
     section: str | None = None
     last_line = 0
@@ -169,18 +177,8 @@ def parse(text: str) -> InputDocument:
 
     cycles: tuple[sf.HomologyClass, ...] | None = None
     if "cycles" in seen:
-        built = []
-        for row, lineno in cycles_rows:
-            if len(row) != pres.z2_rank:
-                raise ParseError(
-                    lineno,
-                    f"cycle has {len(row)} coordinates, expected {pres.z2_rank}",
-                )
-            for a in row:
-                if not 0 <= a <= 3:
-                    raise ParseError(lineno, f"residue {a} out of range 0..3")
-            built.append(sf.HomologyClass("Z4", tuple(row)))
-        cycles = tuple(built)
+        message = "cycle has {} coordinates, expected {}"
+        cycles = _residue_classes(cycles_rows, pres.z2_rank, message)
 
     threefold = None
     if "threefold" in seen:
@@ -205,16 +203,17 @@ def _build_surface(kv: dict[str, tuple[str, int]], header_line: int) -> sf.Surfa
     if "kind" not in kv:
         raise ParseError(header_line, "surface block needs a 'kind'")
     kind, kind_line = kv["kind"]
-    if kind not in (sf.ORIENTABLE, sf.NON_ORIENTABLE):
+    if kind not in sf.COUNT_KEY:
         raise ParseError(
             kind_line, "kind must be 'orientable' or 'non-orientable'"
         )
-    count_key = "genus" if kind == sf.ORIENTABLE else "crosscaps"
-    wrong_key = "crosscaps" if kind == sf.ORIENTABLE else "genus"
-    if wrong_key in kv:
-        raise ParseError(
-            kv[wrong_key][1], f"a {kind} surface takes {count_key!r}, not {wrong_key!r}"
-        )
+    count_key = sf.COUNT_KEY[kind]
+    for wrong_key in sf.COUNT_KEY.values():
+        if wrong_key != count_key and wrong_key in kv:
+            raise ParseError(
+                kv[wrong_key][1],
+                f"a {kind} surface takes {count_key!r}, not {wrong_key!r}",
+            )
     if count_key not in kv:
         raise ParseError(header_line, f"surface block needs {count_key!r}")
     count = _parse_int(*kv[count_key], count_key)
@@ -234,7 +233,7 @@ def _build_embedded(
     from .charclasses import EmbeddedSurfaceData
 
     fields = {}
-    for key in _KEYS["embedded-surface"]:
+    for key, field in _EMBEDDED_FIELDS.items():
         if key not in kv:
             raise ParseError(
                 header_line, f"embedded-surface block {n} is missing {key!r}"
@@ -243,14 +242,8 @@ def _build_embedded(
         bit = _parse_int(value, lineno, key)
         if bit not in (0, 1):
             raise ParseError(lineno, f"{key} must be 0 or 1, got {bit}")
-        fields[key] = bit
-    return EmbeddedSurfaceData(
-        euler_char_mod2=fields["euler"],
-        self_intersection_mod2=fields["self_intersection"],
-        cup_term=fields["cup"],
-        w1sq_sigma=fields["w1sq_surface"],
-        w1sq_normal=fields["w1sq_normal"],
-    )
+        fields[field] = bit
+    return EmbeddedSurfaceData(**fields)
 
 
 def _build_threefold(
@@ -274,28 +267,33 @@ def _build_threefold(
             "threefold documents need surface kind = non-orientable, "
             f"crosscaps = {2 * genus}, boundary = 0",
         )
-    classes: dict[str, list[sf.HomologyClass]] = {"attach": [], "belt": []}
-    for key in ("attach", "belt"):
+    classes = []
+    for key in _ROW_KEYS:
         if len(rows[key]) != genus:
             raise ParseError(
                 header_line,
                 f"threefold block needs {genus} {key} rows, got {len(rows[key])}",
             )
-        for row, lineno in rows[key]:
-            if len(row) != 2 * genus:
-                raise ParseError(
-                    lineno, f"{key} row has {len(row)} entries, expected {2 * genus}"
-                )
-            for a in row:
-                if not 0 <= a <= 3:
-                    raise ParseError(lineno, f"residue {a} out of range 0..3")
-            classes[key].append(sf.HomologyClass("Z4", tuple(row)))
+        message = key + " row has {} entries, expected {}"
+        classes.append(_residue_classes(rows[key], 2 * genus, message))
     try:
-        return tf.HandlebodyDecomposition3(
-            genus, tuple(classes["attach"]), tuple(classes["belt"])
-        )
+        return tf.HandlebodyDecomposition3(genus, *classes)
     except PinlefError as e:
         raise ParseError(header_line, str(e)) from None
+
+
+def _residue_classes(
+    rows: list[tuple[list[int], int]], length: int, message: str
+) -> tuple[sf.HomologyClass, ...]:
+    """Z4 classes from parsed residue rows; ``message`` formats the actual
+    and expected length of a row that is not ``length`` long."""
+    for row, lineno in rows:
+        if len(row) != length:
+            raise ParseError(lineno, message.format(len(row), length))
+        for a in row:
+            if not 0 <= a <= 3:
+                raise ParseError(lineno, f"residue {a} out of range 0..3")
+    return tuple(sf.HomologyClass("Z4", tuple(row)) for row, _ in rows)
 
 
 def serialize(doc: InputDocument) -> str:
@@ -304,8 +302,7 @@ def serialize(doc: InputDocument) -> str:
     out = ["[surface]"]
     s = doc.surface
     out.append(f"kind = {s.kind}")
-    word = "genus" if s.kind == sf.ORIENTABLE else "crosscaps"
-    out.append(f"{word} = {s.genus_or_crosscaps}")
+    out.append(f"{sf.COUNT_KEY[s.kind]} = {s.genus_or_crosscaps}")
     out.append(f"boundary = {s.boundary_components}")
     if doc.cycles is not None:
         if doc.cycles and not s.z2_rank:
@@ -316,20 +313,11 @@ def serialize(doc: InputDocument) -> str:
     if doc.threefold is not None:
         d = doc.threefold
         out += ["", "[threefold]", f"genus = {d.genus}"]
-        for c in d.attaching_classes:
-            out.append("attach = " + ",".join(str(a) for a in c.coords))
-        for c in d.belt_classes:
-            out.append("belt = " + ",".join(str(a) for a in c.coords))
+        for key, classes in zip(_ROW_KEYS, (d.attaching_classes, d.belt_classes)):
+            out += (f"{key} = " + ",".join(map(str, c.coords)) for c in classes)
     for block in doc.embedded_surfaces:
-        out += [
-            "",
-            "[embedded-surface]",
-            f"euler = {block.euler_char_mod2}",
-            f"self_intersection = {block.self_intersection_mod2}",
-            f"cup = {block.cup_term}",
-            f"w1sq_surface = {block.w1sq_sigma}",
-            f"w1sq_normal = {block.w1sq_normal}",
-        ]
+        out += ["", "[embedded-surface]"]
+        out += (f"{k} = {getattr(block, f)}" for k, f in _EMBEDDED_FIELDS.items())
     return "\n".join(out) + "\n"
 
 
@@ -338,12 +326,9 @@ def serialize(doc: InputDocument) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _kind_list(kind: str) -> list[str]:
-    if kind == "both":
-        return ["plus", "minus"]
-    if kind in ("plus", "minus"):
-        return [kind]
-    raise InputError(f"unknown kind {kind!r}")
+# Each --kind value and the structure kinds it reports, in report order.
+_KINDS = {"minus": ("minus",), "plus": ("plus",), "both": ("plus", "minus")}
+_FORMATS = ("text", "machine")
 
 
 def _sign(kind: str) -> str:
@@ -425,17 +410,20 @@ def _header(command: str, kind: str, *pairs: tuple[str, object]) -> _Section:
     return _Section("report", [("command", command), ("kind", kind), *pairs])
 
 
-def _surface_pairs(s: sf.SurfaceModel, *extra: tuple[str, object]) -> list:
+def _surface_pairs(
+    s: sf.SurfaceModel, extra: Iterable[tuple[str, object]] = ()
+) -> Iterator[tuple[str, object]]:
     """Shared by decide and surface-info; ``extra`` goes before pin_plus."""
-    word = "genus" if s.kind == sf.ORIENTABLE else "crosscaps"
-    return [
-        ("kind", s.kind),
-        (word, s.genus_or_crosscaps),
-        ("boundary", s.boundary_components),
-        ("z2_rank", s.z2_rank),
-        *extra,
-        ("pin_plus", _yesno(sf.pin_plus_exists_surface(s))),
-    ]
+    return chain(
+        [
+            ("kind", s.kind),
+            (sf.COUNT_KEY[s.kind], s.genus_or_crosscaps),
+            ("boundary", s.boundary_components),
+            ("z2_rank", s.z2_rank),
+        ],
+        extra,
+        [("pin_plus", _yesno(sf.pin_plus_exists_surface(s)))],
+    )
 
 
 def _verdict_section(report: lf.DecisionReport) -> _Section:
@@ -456,7 +444,7 @@ def _verdict_section(report: lf.DecisionReport) -> _Section:
 
 
 def _threefold_section(d: tf.HandlebodyDecomposition3) -> _Section:
-    labels = [f"{side}{j + 1}" for side in "ab" for j in range(d.genus)]
+    labels = d.row_labels()
     rows = [",".join(str(a % 2) for a in c.coords) for c in d.listed_classes()]
     pairs = [("genus", d.genus)] + [(f"row.{a}", row) for a, row in zip(labels, rows)]
     text = [f"threefold: genus {d.genus} (boundary {d.boundary.describe()})"]
@@ -466,7 +454,7 @@ def _threefold_section(d: tf.HandlebodyDecomposition3) -> _Section:
 
 
 def _run_decide(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
-    kinds = _kind_list(kind)
+    kinds = _KINDS[kind]
     mode = _mode(doc)
     s = doc.surface
     surface_text = [f"surface: {s.describe()} (z2 rank {s.z2_rank})"]
@@ -498,7 +486,7 @@ def _run_decide(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
 
 
 def _obstruction_section(
-    blocks: tuple[EmbeddedSurfaceData, ...], kinds: list[str]
+    blocks: tuple[EmbeddedSurfaceData, ...], kinds: tuple[str, ...]
 ) -> tuple[_Section, int]:
     """The charclass-mode verdicts and exit status."""
     from .charclasses import eval_w1sq, eval_w2, pin_obstruction_summary
@@ -534,7 +522,7 @@ def _target(doc: InputDocument, command: str) -> sf.SurfaceModel:
 
 def _run_enumerate(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
     target = _target(doc, "enumerate")
-    reports = [_decide(doc, k) for k in _kind_list(kind)]
+    reports = [_decide(doc, k) for k in _KINDS[kind]]
     for report in reports:
         if report.structure_count > _ENUMERATE_LIMIT:
             raise InputError(
@@ -572,7 +560,7 @@ def _run_oracle(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
     pairs: list[tuple[str, object]] = []
     text = []
     agree_all = True
-    for k in _kind_list(kind):
+    for k in _KINDS[kind]:
         report = _decide(doc, k)
         brute = _brute(doc, k)
         decided, exhaustive = report.structure_count, len(brute)
@@ -594,51 +582,57 @@ def _run_oracle(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
     return sections, 0 if agree_all else 1
 
 
-def _form_rows(pres: sf.HomologyPresentation) -> list[str]:
-    """The intersection form's rows as comma-separated 0/1 text."""
-    out = []
-    for i, (d, j) in enumerate(zip(pres.diagonal, pres.partner)):
+def _form_rows(pres: sf.HomologyPresentation) -> Iterator[tuple[str, str]]:
+    """Each generator and its intersection form row as comma-separated 0/1
+    text, one row at a time."""
+    for i, (g, d, j) in enumerate(zip(pres.generators, pres.diagonal, pres.partner)):
         row = ["0"] * pres.z2_rank
         row[i] = str(d)
         if j >= 0:
             row[j] = "1"
-        out.append(",".join(row))
-    return out
+        yield g, ",".join(row)
 
 
-def _run_surface_info(doc: InputDocument) -> tuple[list[_Section], int]:
+def _run_surface_info(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
     s = doc.surface
     pres = sf.homology_presentation(s)
     gens = ",".join(pres.generators)
-    form = list(zip(pres.generators, _form_rows(pres)))
     relations = [",".join(map(str, row)) for row in pres.relations]
-    pairs = [("generators", gens)] + [(f"intersection.{g}", row) for g, row in form]
-    text = [f"surface: {s.describe()}", f"z2 rank: {pres.z2_rank}"]
-    text += [f"generators: {gens}", "intersection form mod 2:"]
-    text += [f"  {g}: {row}" for g, row in form]
-    if relations:
-        pairs += [("relation", row) for row in relations]
-        text += ["z4 relation rows:"] + ["  " + row for row in relations]
-    else:
-        pairs.append(("relations", "none"))
-        text.append("z4 relation rows: none")
     obstruction = sf.pin_plus_obstruction(s)
     verdict = "yes" if obstruction is None else f"no ({obstruction})"
-    text.append(f"Pin+ on surface: {verdict}")
-    return [_Section("surface-info", _surface_pairs(s, *pairs), text)], 0
+    # Each format reads its own lazy pass over the form's rows.
+    pairs = chain(
+        [("generators", gens)],
+        ((f"intersection.{g}", row) for g, row in _form_rows(pres)),
+        [("relation", row) for row in relations] or [("relations", "none")],
+    )
+    text = chain(
+        [f"surface: {s.describe()}", f"z2 rank: {pres.z2_rank}"],
+        [f"generators: {gens}", "intersection form mod 2:"],
+        (f"  {g}: {row}" for g, row in _form_rows(pres)),
+        ["z4 relation rows:" + ("" if relations else " none")],
+        ["  " + row for row in relations],
+        [f"Pin+ on surface: {verdict}"],
+    )
+    return [_Section("surface-info", _surface_pairs(s, pairs), text)], 0
+
+
+# Each command and the function that builds its report and exit status.
+_COMMANDS = {
+    "decide": _run_decide,
+    "enumerate": _run_enumerate,
+    "oracle": _run_oracle,
+    "surface-info": _run_surface_info,
+}
 
 
 def _report(command: str, doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
     """A command's report and exit status; every input error raises here."""
-    if command == "decide":
-        return _run_decide(doc, kind)
-    if command == "enumerate":
-        return _run_enumerate(doc, kind)
-    if command == "oracle":
-        return _run_oracle(doc, kind)
-    if command == "surface-info":
-        return _run_surface_info(doc)
-    raise InputError(f"unknown command {command!r}")
+    if command not in _COMMANDS:
+        raise InputError(f"unknown command {command!r}")
+    if kind not in _KINDS:
+        raise InputError(f"unknown kind {kind!r}")
+    return _COMMANDS[command](doc, kind)
 
 
 def run(command: str, doc: InputDocument, kind: str = "both", fmt: str = "text"):
@@ -646,6 +640,8 @@ def run(command: str, doc: InputDocument, kind: str = "both", fmt: str = "text")
 
     Returns (report_text, exit_status).
     """
+    if fmt not in _FORMATS:
+        raise InputError(f"unknown format {fmt!r}")
     sections, status = _report(command, doc, kind)
     return "\n".join(_render(sections, fmt)) + "\n", status
 
@@ -670,20 +666,18 @@ def _build_argparser() -> argparse.ArgumentParser:
             "fibrations over the disk and on closed 3-manifold handlebody data."
         ),
     )
-    parser.add_argument(
-        "command", choices=["decide", "enumerate", "oracle", "surface-info"]
-    )
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("file", type=Path, help="description file to process")
     parser.add_argument(
         "--kind",
-        choices=["minus", "plus", "both"],
+        choices=_KINDS,
         default="both",
         help="which structure kind to consider (default: both)",
     )
     parser.add_argument(
         "--format",
         dest="fmt",
-        choices=["text", "machine"],
+        choices=_FORMATS,
         default="text",
         help="report style (default: text)",
     )

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import product
+from operator import index
 from typing import TYPE_CHECKING
 
 from . import finite_linalg as fl
@@ -45,6 +46,8 @@ if TYPE_CHECKING:
 
 ORIENTABLE = "orientable"
 NON_ORIENTABLE = "non-orientable"
+# The key that names each kind's count, in documents, reports and describe().
+COUNT_KEY = {ORIENTABLE: "genus", NON_ORIENTABLE: "crosscaps"}
 # Largest mod-2 homology rank a surface model may have.  It bounds the
 # dense r x r form that the array view z2_intersection builds to 16 MiB.
 MAX_Z2_RANK = 4096
@@ -101,9 +104,8 @@ class SurfaceModel(Record):
         return per_count * self.genus_or_crosscaps + extra
 
     def describe(self) -> str:
-        word = "genus" if self.kind == ORIENTABLE else "crosscaps"
         return (
-            f"{self.kind}, {word} {self.genus_or_crosscaps}, "
+            f"{self.kind}, {COUNT_KEY[self.kind]} {self.genus_or_crosscaps}, "
             f"boundary {self.boundary_components}"
         )
 
@@ -250,12 +252,23 @@ class HomologyClass(Record):
                 )
 
 
+def _residues(entries, modulus: int) -> tuple[int, ...]:
+    """Integer entries (ints, bools, numpy integers) reduced mod ``modulus``."""
+    out = []
+    for a in entries:
+        try:
+            out.append(index(a) % modulus)
+        except TypeError:
+            raise InputError(f"entry {a!r} is not an integer") from None
+    return tuple(out)
+
+
 def z2_class(coords) -> HomologyClass:
-    return HomologyClass("Z2", tuple(int(a) % 2 for a in coords))
+    return HomologyClass("Z2", _residues(coords, 2))
 
 
 def z4_class(coords) -> HomologyClass:
-    return HomologyClass("Z4", tuple(int(a) % 4 for a in coords))
+    return HomologyClass("Z4", _residues(coords, 4))
 
 
 def z2_reduction(x: HomologyClass) -> HomologyClass:
@@ -450,7 +463,7 @@ def act_h1(q: EnhancementMinus | EnhancementPlus, gamma):
     the action is free and transitive on the full enhancement set.
     """
     pres = homology_presentation(q.surface)
-    bits = [int(g) % 2 for g in gamma]
+    bits = _residues(gamma, 2)
     if len(bits) != pres.z2_rank:
         raise InputError("cohomology class length does not match the generators")
     if isinstance(q, EnhancementMinus):

@@ -87,6 +87,10 @@ class HandlebodyDecomposition3(Record):
         """Attaching classes then belt classes, in report order."""
         return self.attaching_classes + self.belt_classes
 
+    def row_labels(self) -> tuple[str, ...]:
+        """Names of the listed classes: a1..ag attaching, then b1..bg belt."""
+        return tuple(f"{side}{j}" for side in "ab" for j in range(1, self.genus + 1))
+
     def z2_class_matrix(self) -> np.ndarray:
         return z2_matrix(self.boundary, self.listed_classes())
 
@@ -116,10 +120,8 @@ def solve_pin_minus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:
     """
 
     def certify(rank, y):
-        names = ", ".join(
-            (f"a{i + 1}" if i < d.genus else f"b{i - d.genus + 1}")
-            for i in y
-        )
+        labels = d.row_labels()
+        names = ", ".join(labels[i] for i in y)
         return (
             "no enhancement vanishes on all listed classes; "
             f"inconsistent subset: {names}"

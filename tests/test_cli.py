@@ -292,6 +292,21 @@ def test_surface_info_klein():
     assert status == 0
 
 
+@pytest.mark.parametrize("command", ["decide", "enumerate", "oracle", "surface-info"])
+@pytest.mark.parametrize(
+    "kind, fmt, message",
+    [
+        ("both", "json", "unknown format 'json'"),
+        ("neither", "text", "unknown kind 'neither'"),
+        ("plus", "Machine", "unknown format 'Machine'"),
+    ],
+)
+def test_run_rejects_unknown_kind_and_format(command, kind, fmt, message):
+    doc = cli.parse(RP4_TEXT)
+    with pytest.raises(InputError, match=message):
+        cli.run(command, doc, kind=kind, fmt=fmt)
+
+
 def test_threefold_report_prints_rows_in_order():
     doc = cli.parse(THREEFOLD_TEXT)
     text, status = cli.run("decide", doc, kind="both")
@@ -483,6 +498,23 @@ def test_main_streams_enumerate_report(tmp_path):
         tracemalloc.start()
         try:
             status = cli.main(["enumerate", str(doc)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert status == 0
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_main_streams_surface_info_report(tmp_path, fmt):
+    # A genus-2048 surface sits at the rank cap: its intersection form is
+    # about 32 MiB of report, written a row at a time.
+    doc = tmp_path / "genus2048.pinlef"
+    doc.write_text("[surface]\nkind = orientable\ngenus = 2048\nboundary = 0\n")
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            status = cli.main(["surface-info", str(doc), "--format", fmt])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -223,6 +223,28 @@ def test_act_moebius_plus_flip():
     assert P.act_h1(other, (1,)) == q
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: P.z2_class([1.7, 0.2]),
+        lambda: P.z4_class(["3", 2.9]),
+        lambda: P.z4_class([1, None]),
+        lambda: P.act_h1(P.base_enhancement_minus(KLEIN), [0.9, "1"]),
+        lambda: P.act_h1(P.EnhancementPlus(MOEBIUS, (1,)), [1.0]),
+    ],
+)
+def test_class_entries_must_be_integers(build):
+    with pytest.raises(InputError, match="is not an integer"):
+        build()
+
+
+def test_class_entries_take_ints_bools_and_numpy_integers():
+    assert P.z2_class([True, np.uint8(3), 5]).coords == (1, 1, 1)
+    assert P.z4_class(np.array([7, -1, 2], dtype=np.int64)).coords == (3, 3, 2)
+    q = P.base_enhancement_minus(KLEIN)
+    assert P.act_h1(q, np.array([1, 0], dtype=np.uint8)).values == (3, 1)
+
+
 @given(
     st.lists(st.integers(0, 1), min_size=3, max_size=3),
     st.lists(st.integers(0, 1), min_size=3, max_size=3),

@@ -2,10 +2,10 @@
 
 ``@dataclass(frozen=True)`` imports ``inspect`` and compiles each generated
 method when a class is decorated, which was most of the cost of importing
-the package.  A record here names its fields, in constructor order, in
-``__match_args__``, and its hand-written ``__init__`` sets each one with
-``object.__setattr__`` (ending in ``self.__post_init__()`` where it
-validates).  :class:`Record` gives it what the decorator did:
+the package.  A record's fields are its ``__init__`` parameters, in order,
+and that ``__init__`` sets each one with ``object.__setattr__`` (ending in
+``self.__post_init__()`` where it validates).  :class:`Record` names them
+in ``__match_args__`` when the class is made, and gives what the decorator did:
 
 * ``repr`` as ``Name(field=value, ...)``;
 * equality and hashing by the tuple of fields, between records of the same
@@ -22,7 +22,11 @@ from __future__ import annotations
 
 
 class Record:
-    __match_args__: tuple[str, ...] = ()
+    __match_args__: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
 
     def _field_values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

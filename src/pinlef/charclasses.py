@@ -12,7 +12,7 @@ supplies these five residues; nothing is computed from an embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .errors import InputError
@@ -29,15 +29,10 @@ class EmbeddedSurfaceData:
     w1sq_normal: int
 
     def __post_init__(self):
-        for name, v in (
-            ("euler_char_mod2", self.euler_char_mod2),
-            ("self_intersection_mod2", self.self_intersection_mod2),
-            ("cup_term", self.cup_term),
-            ("w1sq_sigma", self.w1sq_sigma),
-            ("w1sq_normal", self.w1sq_normal),
-        ):
+        for field in fields(self):
+            v = getattr(self, field.name)
             if v not in (0, 1):
-                raise InputError(f"{name} must be a residue mod 2, got {v!r}")
+                raise InputError(f"{field.name} must be a residue mod 2, got {v!r}")
 
 
 def eval_w2(d: EmbeddedSurfaceData) -> int:

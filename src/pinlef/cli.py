@@ -61,6 +61,9 @@ _KEYS = {
     "threefold": ("genus",),
     "embedded-surface": _EMBEDDED_FIELDS,
 }
+# Lines end at "\n", "\r\n" or "\r"; str.splitlines() would also break
+# at form feeds, U+0085, U+2028 and other separators.
+_LINE_END_RE = re.compile(r"\r\n?|\n")
 _SECTION_RE = re.compile(r"^\[([a-z-]+)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z0-9_-]+)\s*=\s*(.*)$")
 # int() also takes "+1", "1_0" and non-ASCII digits; documents may not.
@@ -74,8 +77,6 @@ _DIGITS = bytes.maketrans(bytes(range(4)), b"0123")
 
 class InputDocument(Record):
     """Validated content of a description file."""
-
-    __match_args__ = ("surface", "cycles", "threefold", "embedded_surfaces")
 
     def __init__(
         self,
@@ -115,8 +116,18 @@ def _parse_row(text: str, line: int) -> list[int]:
         raise ParseError(line, f"malformed residue row {text!r}") from None
 
 
+def _lines(text: str) -> list[str]:
+    """The document's lines, without their ends; like ``splitlines``, a
+    final line end starts no further line."""
+    lines = _LINE_END_RE.split(text)
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def parse(text: str) -> InputDocument:
-    """Parse and validate a description document.
+    """Parse and validate a description document; one leading byte order
+    mark (U+FEFF) is ignored.
 
     Raises:
         ParseError: with the offending line number and a reason, on
@@ -131,7 +142,7 @@ def parse(text: str) -> InputDocument:
     section: str | None = None
     last_line = 0
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text.removeprefix("\ufeff")), start=1):
         last_line = lineno
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -378,8 +389,6 @@ class _Section(Record):
     ``key = value`` pairs, ``--format text`` prints its text lines.  Both
     may be lazy; only the one rendered is consumed."""
 
-    __match_args__ = ("name", "pairs", "text")
-
     def __init__(
         self,
         name: str,
@@ -495,8 +504,9 @@ def _obstruction_section(
     pairs: list[tuple[str, object]] = [("surfaces", len(blocks))]
     text = [f"embedded surfaces: {len(blocks)}"]
     for n, d in enumerate(blocks, start=1):
-        pairs += [(f"w2.{n}", eval_w2(d)), (f"w1sq.{n}", eval_w1sq(d))]
-        text.append(f"surface {n}: w2 = {eval_w2(d)}, w1^2 = {eval_w1sq(d)}")
+        w2, w1sq = eval_w2(d), eval_w1sq(d)
+        pairs += [(f"w2.{n}", w2), (f"w1sq.{n}", w1sq)]
+        text.append(f"surface {n}: w2 = {w2}, w1^2 = {w1sq}")
     obstructed = {
         "plus": summary.pin_plus_obstructed,
         "minus": summary.pin_minus_obstructed,
@@ -505,10 +515,6 @@ def _obstruction_section(
         word = "obstructed" if obstructed[k] else "unobstructed"
         pairs.append((f"pin_{k}", word))
         text.append(f"Pin{_sign(k)}: {word}")
-    if summary.empty_generating_set:
-        note = "empty generating set; verdicts vacuous"
-        pairs.append(("caveat", note))
-        text.append(f"caveat: {note}")
     status = 1 if any(obstructed[k] for k in kinds) else 0
     return _Section("obstructions", pairs, text), status
 
@@ -689,7 +695,7 @@ def _decode(data: bytes) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
         # Everything before the bad byte decodes; count its lines as parse does.
-        line = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        line = len(_lines(data[: e.start].decode("utf-8") + "x"))
         raise ParseError(line, "input is not valid UTF-8") from None
 
 

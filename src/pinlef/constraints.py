@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from . import finite_linalg as fl
 from . import surfaces as sf
 from ._record import Record
+from .errors import InvariantViolation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,8 +46,6 @@ class StructureSet(Record):
     of the values.  The set holds one int per kernel dimension; it builds
     enhancements only when indexed or iterated.
     """
-
-    __match_args__ = ("kind", "surface", "first", "kernel")
 
     def __init__(
         self,
@@ -143,16 +142,6 @@ class DecisionReport(Record):
     family).
     """
 
-    __match_args__ = (
-        "kind",
-        "exists",
-        "structure_count",
-        "structures",
-        "h1_annihilator_dim",
-        "certificate",
-        "witness",
-    )
-
     def __init__(
         self,
         kind: str,
@@ -189,16 +178,18 @@ def _spread(x: int, width: int) -> int:
     return int.from_bytes(fl.unpack_bits(x, width), "big")
 
 
-def rank_mismatch(rank: int, reason: str) -> str:
-    """Certificate text for an unsolvable system whose C has this rank."""
-    return f"rank(C) = {rank} != rank(C|A) = {rank + 1}; {reason}"
+def rank_mismatch(reason: str) -> Callable[[int, list[int]], tuple]:
+    """A ``certify`` for :meth:`ConstraintSystem.decide` that words a NO by
+    the ranks of C and C|A and ``reason``, with no witness."""
+    return lambda rank, y: (
+        f"rank(C) = {rank} != rank(C|A) = {rank + 1}; {reason}",
+        None,
+    )
 
 
 class ConstraintSystem(Record):
     """Enhancements of ``kind`` ("minus" or "plus") on ``surface`` taking
     the value ``target`` on each of the Z4 ``classes``, in row order."""
-
-    __match_args__ = ("kind", "surface", "classes", "target")
 
     def __init__(
         self,
@@ -217,7 +208,8 @@ class ConstraintSystem(Record):
 
         ``certify(rank, y)`` words a NO from rank(C) and the indices y of
         the rows that sum to zero while their targets sum to one,
-        returning (certificate, witness).
+        returning (certificate, witness).  A plus system on a surface
+        without Pin+ raises InvariantViolation, as ``eval_qplus`` does.
         """
         s = self.surface
         if self.kind == "minus":
@@ -227,6 +219,8 @@ class ConstraintSystem(Record):
                 for c in self.classes
             ]
         else:
+            if sf.pin_plus_obstruction(s) is not None:
+                raise InvariantViolation(sf.NOT_WELL_DEFINED)
             q0 = sf.base_enhancement_plus(s)
             rhs = [(self.target + sf.eval_qplus(q0, c)) % 2 for c in self.classes]
         C = z2_rows(s, self.classes)

@@ -72,8 +72,6 @@ def set_columns(x: int, ncols: int) -> list[int]:
 class BitRows(Record):
     """A mod-2 matrix as one int per row; column j is bit ncols - 1 - j."""
 
-    __match_args__ = ("rows", "ncols")
-
     def __init__(self, rows: tuple[int, ...], ncols: int) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "ncols", ncols)
@@ -294,7 +292,6 @@ class AffineSolutionGF2(Record):
     exactly ``2 ** len(kernel_basis)`` elements.
     """
 
-    __match_args__ = ("particular", "kernel_basis")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 

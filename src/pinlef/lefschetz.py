@@ -48,8 +48,6 @@ class LefschetzFibration(Record):
     needed.  An empty cycle list is legal and means the product fibration.
     """
 
-    __match_args__ = ("fiber", "cycles")
-
     def __init__(
         self, fiber: sf.SurfaceModel, cycles: tuple[sf.HomologyClass, ...] = ()
     ) -> None:
@@ -85,8 +83,6 @@ class ObstructionWitness(Record):
     ``summands``, and len(summands) + pair_sum is even, where ``pair_sum``
     is the parity of the pairwise intersections among the summands.
     """
-
-    __match_args__ = ("lead", "summands", "pair_sum")
 
     def __init__(self, lead: int, summands: tuple[int, ...], pair_sum: int) -> None:
         object.__setattr__(self, "lead", lead)
@@ -159,7 +155,7 @@ def decide_pin_plus(f: LefschetzFibration) -> DecisionReport:
     if obstruction is not None:
         return system.refuse(f"fiber has no Pin+ structure: {obstruction}")
     reason = "no enhancement takes the value 1 on every cycle"
-    return system.decide(lambda rank, y: (rank_mismatch(rank, reason), None))
+    return system.decide(rank_mismatch(reason))
 
 
 def pin_minus_witness_search(f: LefschetzFibration) -> ObstructionWitness | None:

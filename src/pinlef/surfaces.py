@@ -48,6 +48,8 @@ ORIENTABLE = "orientable"
 NON_ORIENTABLE = "non-orientable"
 # The key that names each kind's count, in documents, reports and describe().
 COUNT_KEY = {ORIENTABLE: "genus", NON_ORIENTABLE: "crosscaps"}
+# Why a plus enhancement of a surface without Pin+ cannot be evaluated.
+NOT_WELL_DEFINED = "enhancement is not well defined modulo the torsion relations"
 # Largest mod-2 homology rank a surface model may have.  It bounds the
 # dense r x r form that the array view z2_intersection builds to 16 MiB.
 MAX_Z2_RANK = 4096
@@ -56,14 +58,14 @@ MAX_Z2_RANK = 4096
 class SurfaceModel(Record):
     """A compact surface: orientability, genus/crosscap count, boundary count."""
 
-    __match_args__ = ("kind", "genus_or_crosscaps", "boundary_components")
-
     def __init__(
         self, kind: str, genus_or_crosscaps: int, boundary_components: int = 0
     ) -> None:
+        count = as_integer(genus_or_crosscaps, "surface count")
+        boundary = as_integer(boundary_components, "boundary count")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "genus_or_crosscaps", genus_or_crosscaps)
-        object.__setattr__(self, "boundary_components", boundary_components)
+        object.__setattr__(self, "genus_or_crosscaps", count)
+        object.__setattr__(self, "boundary_components", boundary)
         self.__post_init__()
 
     # Written out: homology_presentation's cache hashes a surface per call.
@@ -131,7 +133,6 @@ class HomologyPresentation(Record):
     or the command line reads them.
     """
 
-    __match_args__ = ("generators", "z2_rank", "diagonal", "partner", "relations")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -234,8 +235,6 @@ class HomologyClass(Record):
     the relation row module (see :func:`z4_classes_equal`).
     """
 
-    __match_args__ = ("ring", "coords")
-
     def __init__(self, ring: str, coords: tuple[int, ...]) -> None:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coords", coords)
@@ -250,6 +249,14 @@ class HomologyClass(Record):
                 raise InputError(
                     f"coordinate {a!r} out of range for {self.ring} class"
                 )
+
+
+def as_integer(value, what: str) -> int:
+    """An int, bool or numpy integer as an int; InputError for anything else."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InputError(f"{what} {value!r} is not an integer") from None
 
 
 def _residues(entries, modulus: int) -> tuple[int, ...]:
@@ -346,8 +353,6 @@ class EnhancementMinus(Record):
     generator, which is validated here.
     """
 
-    __match_args__ = ("surface", "values")
-
     def __init__(self, surface: SurfaceModel, values: tuple[int, ...]) -> None:
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "values", values)
@@ -376,8 +381,6 @@ class EnhancementPlus(Record):
     crosscap count mod 2 on the relation row (2, ..., 2), so none is well
     defined exactly when :func:`pin_plus_obstruction` is set.
     """
-
-    __match_args__ = ("surface", "values")
 
     def __init__(self, surface: SurfaceModel, values: tuple[int, ...]) -> None:
         object.__setattr__(self, "surface", surface)
@@ -445,9 +448,7 @@ def eval_qplus(q: EnhancementPlus, x: HomologyClass) -> int:
     if len(x.coords) != pres.z2_rank:
         raise InputError("class length does not match the surface's generators")
     if pin_plus_obstruction(q.surface) is not None:
-        raise InvariantViolation(
-            "enhancement is not well defined modulo the torsion relations"
-        )
+        raise InvariantViolation(NOT_WELL_DEFINED)
     bits = fl.pack_bits(x.coords)
     terms = (bits & fl.pack_bits(q.values)) ^ (fl.high_bits(x.coords) & pres.one_sided)
     terms ^= bits & (bits << 1) & pres.handle_first

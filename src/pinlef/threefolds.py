@@ -35,15 +35,13 @@ class HandlebodyDecomposition3(Record):
     curve data is not modelled, only homological soundness.
     """
 
-    __match_args__ = ("genus", "attaching_classes", "belt_classes")
-
     def __init__(
         self,
         genus: int,
         attaching_classes: tuple[sf.HomologyClass, ...],
         belt_classes: tuple[sf.HomologyClass, ...],
     ) -> None:
-        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "genus", sf.as_integer(genus, "handlebody genus"))
         object.__setattr__(self, "attaching_classes", attaching_classes)
         object.__setattr__(self, "belt_classes", belt_classes)
         self.__post_init__()
@@ -108,7 +106,7 @@ def decide_pin_plus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:
     # eval_qplus never refuses the base enhancement here.
     system = ConstraintSystem("plus", d.boundary, d.listed_classes(), 0)
     reason = "no enhancement vanishes on all attaching and belt classes"
-    return system.decide(lambda rank, y: (rank_mismatch(rank, reason), None))
+    return system.decide(rank_mismatch(reason))
 
 
 def solve_pin_minus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:

@@ -659,3 +659,85 @@ def test_main_survives_arbitrary_input(data, command, fmt):
             status = cli.main([command, str(doc), "--format", fmt])
     assert status in (0, 1, 2)
     assert (status == 2) == err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text, line, reason",
+    [
+        (
+            RP4_TEXT.replace("\n2\n", "\nrow = 2\n"),
+            8,
+            "the cycles section holds residue rows only",
+        ),
+        (
+            "[surface]\nkind = flat\ngenus = 1\n",
+            2,
+            "kind must be 'orientable' or 'non-orientable'",
+        ),
+        (SPHERE_TEXT.replace("cup = 0", "cup = 2"), 11, "cup must be 0 or 1, got 2"),
+        (THREEFOLD_TEXT.replace("genus = 1\n", ""), 6, "threefold block needs 'genus'"),
+        (
+            THREEFOLD_TEXT.replace("genus = 1", "genus = 0"),
+            7,
+            "threefold genus must be at least 1",
+        ),
+        (
+            THREEFOLD_TEXT.replace("attach = 1,1", "attach = 1,0"),
+            6,
+            "attaching class 1 has odd self-intersection; "
+            "curves bounding disks are two-sided",
+        ),
+    ],
+    ids=["cycles-key", "kind", "embedded-bit", "no-genus", "genus-0", "one-sided"],
+)
+def test_parse_error_lines_and_reasons(text, line, reason):
+    with pytest.raises(ParseError) as err:
+        cli.parse(text)
+    assert (err.value.line, err.value.reason) == (line, reason)
+
+
+def test_run_rejects_unknown_command():
+    with pytest.raises(InputError) as err:
+        cli.run("solve", cli.parse(RP4_TEXT))
+    assert str(err.value) == "unknown command 'solve'"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # U+0085 and U+2028 sit inside a comment; they end no line.
+        "[surface]\n# note\x85kind = orientable\nkind = orientable\ngenus = 1\n",
+        "[surface]\n# note\u2028kind = flat\nkind = orientable\ngenus = 1\n",
+        "[surface]\r\nkind = orientable\rgenus = 1\r\n",
+        "\ufeff[surface]\nkind = orientable\ngenus = 1\n",
+    ],
+    ids=["nel", "line-separator", "crlf-and-cr", "bom"],
+)
+def test_parse_ends_lines_at_newlines_only(text):
+    assert cli.parse(text).surface == P.orientable_surface(1)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[surface]\x0c\nkind = orientable\ngenus = x\n", 3),
+        ("[surface]\x1c\x1d\x1e\x0b\nkind = orientable\ngenus = x\n", 3),
+        ("[surface]\r\nkind = orientable\rgenus = x\n", 3),
+        ("\ufeff\ufeff[surface]\n", 1),
+    ],
+    ids=["form-feed", "separators", "crlf-and-cr", "second-bom"],
+)
+def test_parse_counts_lines_by_newlines(text, line):
+    with pytest.raises(ParseError) as err:
+        cli.parse(text)
+    assert err.value.line == line
+
+
+def test_main_reads_a_byte_order_mark_and_counts_lines_by_newlines(capsys, tmp_path):
+    doc = tmp_path / "doc.pinlef"
+    doc.write_bytes("\ufeff".encode() + RP4_TEXT.encode())
+    assert cli.main(["decide", str(doc)]) == 1
+    assert capsys.readouterr().out == cli.run("decide", cli.parse(RP4_TEXT))[0]
+    doc.write_bytes(b"[surface]\x0c\nkind = orientable\ngenus = 1\xe9\n")
+    assert cli.main(["decide", str(doc)]) == 2
+    assert capsys.readouterr().err == "error: line 3: input is not valid UTF-8\n"

@@ -12,6 +12,8 @@ from pinlef import finite_linalg as fl
 from pinlef import lefschetz as lf
 from pinlef import surfaces as sf
 from pinlef import threefolds as tf
+from pinlef.constraints import ConstraintSystem
+from pinlef.errors import InvariantViolation
 from helpers import random_decomposition
 
 
@@ -234,3 +236,14 @@ def test_large_product_decides_in_little_memory():
     assert report.exists
     assert report.h1_annihilator_dim == 500
     assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("classes", [(), (P.z4_class([1]),)], ids=["none", "one"])
+def test_plus_system_on_a_surface_without_pin_plus_raises(classes):
+    system = ConstraintSystem("plus", P.non_orientable_surface(1), classes, 1)
+    assert system.brute_force() == []
+    with pytest.raises(InvariantViolation) as err:
+        system.decide(lambda rank, y: ("unsolvable", None))
+    assert str(err.value) == (
+        "enhancement is not well defined modulo the torsion relations"
+    )

@@ -512,3 +512,10 @@ def test_membership_reads_each_howell_form_by_its_content():
     with pytest.raises(InputError):
         fl.in_row_module_z4(square, [1, 0, 0])
     assert fl.in_row_module_z4(square, [2, 2])
+
+
+@pytest.mark.parametrize("call", [fl.mat_gf2, fl.mat_z4, fl.rref_gf2])
+def test_three_dimensional_input_is_an_input_error(call):
+    with pytest.raises(InputError) as err:
+        call(np.zeros((2, 2, 2), dtype=np.uint8))
+    assert str(err.value) == "matrix must be two-dimensional"

@@ -547,3 +547,76 @@ assert not loaded, loaded
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: P.orientable_surface(1.5), "surface count 1.5 is not an integer"),
+        (lambda: P.orientable_surface("2"), "surface count '2' is not an integer"),
+        (
+            lambda: P.non_orientable_surface(2, 0.0),
+            "boundary count 0.0 is not an integer",
+        ),
+    ],
+    ids=["float", "str", "boundary-float"],
+)
+def test_surface_counts_must_be_integers(build, message):
+    with pytest.raises(InputError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_surface_counts_take_ints_bools_and_numpy_integers():
+    s = P.SurfaceModel("orientable", True, np.int64(2))
+    assert s == P.orientable_surface(1, 2)
+    assert type(s.genus_or_crosscaps) is int and type(s.boundary_components) is int
+    assert sf.homology_presentation(s).generators == ("a1", "b1", "d1")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: P.HomologyClass("Z3", (1,)), "unknown coefficient ring 'Z3'"),
+        (lambda: P.HomologyClass("Z2", (2,)), "coordinate 2 out of range for Z2 class"),
+        (
+            lambda: P.z4_classes_equal(KLEIN, P.z2_class([1, 0]), P.z4_class([1, 0])),
+            "z4_classes_equal compares Z4 classes",
+        ),
+        (
+            lambda: P.z4_classes_equal(KLEIN, P.z4_class([1]), P.z4_class([1])),
+            "class length does not match the surface's generators",
+        ),
+        (lambda: P.EnhancementMinus(KLEIN, (1,)), "expected 2 generator values, got 1"),
+        (lambda: P.EnhancementMinus(KLEIN, (1, 5)), "value 5 is not a residue mod 4"),
+        (
+            lambda: P.EnhancementPlus(KLEIN, (0, 0, 0)),
+            "expected 2 generator values, got 3",
+        ),
+        (lambda: P.EnhancementPlus(KLEIN, (0, 2)), "value 2 is not a residue mod 2"),
+        (
+            lambda: P.act_h1(P.base_enhancement_plus(KLEIN), [1]),
+            "cohomology class length does not match the generators",
+        ),
+        (
+            lambda: P.enumerate_enhancements(KLEIN, "spin"),
+            "unknown enhancement kind 'spin'",
+        ),
+    ],
+    ids=[
+        "ring",
+        "coordinate",
+        "equal-z2",
+        "equal-length",
+        "minus-length",
+        "minus-residue",
+        "plus-length",
+        "plus-residue",
+        "act-length",
+        "enumerate-kind",
+    ],
+)
+def test_input_errors_name_the_fault(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message

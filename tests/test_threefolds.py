@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 import pinlef as P
@@ -140,3 +141,36 @@ def test_pin_minus_constructor_matches_brute_force(genus):
         else:
             with pytest.raises(InvalidDecomposition):
                 P.construct_pin_minus_3mfd(d)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: P.HandlebodyDecomposition3(1.0, (), ()),
+            "handlebody genus 1.0 is not an integer",
+        ),
+        (
+            lambda: P.HandlebodyDecomposition3(1, (P.z4_class([1, 1]),), ()),
+            "expected 1 belt classes, got 0",
+        ),
+        (
+            lambda: P.HandlebodyDecomposition3(
+                1, (P.z2_class([1, 1]),), (P.z4_class([0, 0]),)
+            ),
+            "attaching class 1 must be a Z4 class",
+        ),
+    ],
+    ids=["genus-float", "belt-count", "z2-class"],
+)
+def test_decomposition_input_errors(build, message):
+    with pytest.raises(InputError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_genus_takes_numpy_integers_as_ints():
+    d = P.HandlebodyDecomposition3(
+        np.int64(1), (P.z4_class([1, 1]),), (P.z4_class([0, 0]),)
+    )
+    assert type(d.genus) is int and d.row_labels() == ("a1", "b1")

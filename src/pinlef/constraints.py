@@ -17,11 +17,9 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from . import finite_linalg as fl
 from . import surfaces as sf
 from ._record import Record
-from .errors import InvariantViolation
+from .errors import InputError, InvariantViolation
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .lefschetz import ObstructionWitness
 
 
@@ -168,7 +166,7 @@ def z2_rows(surface: sf.SurfaceModel, classes) -> fl.BitRows:
     )
 
 
-def z2_matrix(surface: sf.SurfaceModel, classes) -> np.ndarray:
+def z2_matrix(surface: sf.SurfaceModel, classes) -> fl.MatGF2:
     """Mod-2 reductions of the classes as a read-only array, one row per class."""
     return z2_rows(surface, classes).to_array()
 
@@ -198,6 +196,8 @@ class ConstraintSystem(Record):
         classes: tuple[sf.HomologyClass, ...],
         target: int,
     ) -> None:
+        if kind not in _ENHANCEMENT:
+            raise InputError(f"unknown enhancement kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "classes", classes)

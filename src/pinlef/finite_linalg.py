@@ -13,9 +13,10 @@ decides membership in a row module by reduction to zero.
 
 The array API (``mat_gf2``, ``vec_gf2``, ``rref_gf2`` on array-likes, the
 affine solvers, ``annihilator_gf2`` and the Z4 routines) validates, packs,
-works on packed rows and returns read-only numpy ``uint8`` arrays.  Only
-its validator and converter import numpy, so callers that stay with packed
-rows, such as every decider and the command line, never load it.
+works on packed rows and returns read-only numpy ``uint8`` arrays.  It
+needs numpy, the ``pinlef[arrays]`` extra, and gets it from
+:func:`load_numpy` alone; callers that stay with packed rows, such as
+every decider and the command line, need no third-party package.
 """
 
 from __future__ import annotations
@@ -91,12 +92,22 @@ class BitRows(Record):
         return _array(self.shape, self.rows)
 
 
+def load_numpy():
+    """The numpy module, which the array API needs; when it is missing, an
+    ImportError that names the ``pinlef[arrays]`` extra installing it."""
+    try:
+        import numpy
+    except ImportError as exc:
+        msg = "the array API needs numpy: pip install 'pinlef[arrays]'"
+        raise ImportError(msg) from exc
+    return numpy
+
+
 def _array(shape: tuple[int, ...], low=(), high=()) -> np.ndarray:
     """Rows packed as bit planes, as a read-only uint8 array of the residues
     low + 2 * high.  Each unpacked plane is one 0/1 byte per entry, so the
     planes add as ints without carries."""
-    import numpy as np
-
+    np = load_numpy()
     data = b"".join(unpack_bits(x, shape[-1]) for x in low)
     if high:
         twos = b"".join(unpack_bits(x, shape[-1]) for x in high)
@@ -110,8 +121,7 @@ def _vector(x: int, ncols: int) -> VecGF2:
 
 
 def _asarray(entries) -> np.ndarray:
-    import numpy as np
-
+    np = load_numpy()
     try:
         return np.asarray(entries)
     except ValueError:  # numpy refuses rows of different lengths
@@ -121,8 +131,7 @@ def _asarray(entries) -> np.ndarray:
 def _residues(entries, modulus: int | None, ndim: int = 2) -> np.ndarray:
     """Integer or bool entries in 0..modulus-1 (without one, kept mod 256)
     as a read-only uint8 array; an empty input of any dtype is accepted."""
-    import numpy as np
-
+    np = load_numpy()
     a = _asarray(entries)
     if a.size and a.dtype.kind not in "biu":
         raise InputError(f"entries must be integers, not {a.dtype}")

@@ -35,8 +35,6 @@ from .constraints import (
 from .errors import InputError, InvariantViolation
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .charclasses import EmbeddedSurfaceData
 
 
@@ -71,7 +69,7 @@ class LefschetzFibration(Record):
                     "self-intersection; vanishing cycles are two-sided"
                 )
 
-    def z2_cycle_matrix(self) -> np.ndarray:
+    def z2_cycle_matrix(self) -> fl.MatGF2:
         """Mod-2 reductions of the cycles, one row per cycle."""
         return z2_matrix(self.fiber, self.cycles)
 
@@ -110,7 +108,7 @@ class ObstructionWitness(Record):
         )
 
 
-def fibration_h1_annihilator(f: LefschetzFibration) -> list[np.ndarray]:
+def fibration_h1_annihilator(f: LefschetzFibration) -> list[fl.VecGF2]:
     """Basis of the fiber cohomology classes vanishing on every cycle.
 
     This subgroup is the cohomology of the total space sitting inside the

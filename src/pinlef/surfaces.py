@@ -35,14 +35,10 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import product
 from operator import index
-from typing import TYPE_CHECKING
 
 from . import finite_linalg as fl
 from ._record import Record
 from .errors import InputError, InvariantViolation
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ORIENTABLE = "orientable"
 NON_ORIENTABLE = "non-orientable"
@@ -128,9 +124,10 @@ class HomologyPresentation(Record):
     one j != i with e_i.e_j = 1 (the adjacent a_i, b_i of a handle), or
     -1, and the evaluators read it as two packed masks.  ``relations``
     holds the Z4 relation rows as tuples: none, or the one row (2, ..., 2).
-    The numpy views ``z2_intersection`` (the dense r x r form) and
-    ``z4_relations`` are built on first access; nothing in the deciders
-    or the command line reads them.
+    The array views ``z2_intersection`` (the dense r x r form) and
+    ``z4_relations`` are built on first access and need numpy, the
+    ``pinlef[arrays]`` extra; nothing in the deciders or the command line
+    reads them.
     """
 
     __eq__ = object.__eq__
@@ -166,10 +163,9 @@ class HomologyPresentation(Record):
         return fl.pack_bits([j == i + 1 for i, j in enumerate(self.partner)])
 
     @cached_property
-    def z2_intersection(self) -> np.ndarray:
+    def z2_intersection(self) -> fl.MatGF2:
         """The (r, r) symmetric read-only uint8 intersection form."""
-        import numpy as np
-
+        np = fl.load_numpy()
         r = self.z2_rank
         form = np.zeros((r, r), dtype=np.uint8)
         form[np.arange(r), np.arange(r)] = self.diagonal
@@ -179,7 +175,7 @@ class HomologyPresentation(Record):
         return form
 
     @cached_property
-    def z4_relations(self) -> np.ndarray:
+    def z4_relations(self) -> fl.MatZ4:
         """The (m, r) read-only uint8 relation rows, residues mod 4."""
         return fl.mat_z4(self.relations).reshape(len(self.relations), self.z2_rank)
 
@@ -237,7 +233,7 @@ class HomologyClass(Record):
 
     def __init__(self, ring: str, coords: tuple[int, ...]) -> None:
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", _integers(coords, "coordinate"))
         self.__post_init__()
 
     def __post_init__(self):
@@ -245,10 +241,8 @@ class HomologyClass(Record):
             raise InputError(f"unknown coefficient ring {self.ring!r}")
         mod = 2 if self.ring == "Z2" else 4
         for a in self.coords:
-            if not isinstance(a, int) or not 0 <= a < mod:
-                raise InputError(
-                    f"coordinate {a!r} out of range for {self.ring} class"
-                )
+            if not 0 <= a < mod:
+                raise InputError(f"coordinate {a} out of range for {self.ring} class")
 
 
 def as_integer(value, what: str) -> int:
@@ -259,15 +253,18 @@ def as_integer(value, what: str) -> int:
         raise InputError(f"{what} {value!r} is not an integer") from None
 
 
+def _integers(entries, what: str) -> tuple[int, ...]:
+    """Each entry as an int, as :func:`as_integer` reads it."""
+    entries = tuple(entries)
+    try:
+        return tuple(map(index, entries))
+    except TypeError:  # as_integer names the first entry that is not one
+        return tuple([as_integer(a, what) for a in entries])
+
+
 def _residues(entries, modulus: int) -> tuple[int, ...]:
     """Integer entries (ints, bools, numpy integers) reduced mod ``modulus``."""
-    out = []
-    for a in entries:
-        try:
-            out.append(index(a) % modulus)
-        except TypeError:
-            raise InputError(f"entry {a!r} is not an integer") from None
-    return tuple(out)
+    return tuple([a % modulus for a in _integers(entries, "entry")])
 
 
 def z2_class(coords) -> HomologyClass:
@@ -355,7 +352,7 @@ class EnhancementMinus(Record):
 
     def __init__(self, surface: SurfaceModel, values: tuple[int, ...]) -> None:
         object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _integers(values, "value"))
         self.__post_init__()
 
     def __post_init__(self):
@@ -365,7 +362,7 @@ class EnhancementMinus(Record):
                 f"expected {pres.z2_rank} generator values, got {len(self.values)}"
             )
         for v, d, label in zip(self.values, pres.diagonal, pres.generators):
-            if not isinstance(v, int) or not 0 <= v < 4:
+            if not 0 <= v < 4:
                 raise InputError(f"value {v!r} is not a residue mod 4")
             if v % 2 != d:
                 raise InvariantViolation(
@@ -384,7 +381,7 @@ class EnhancementPlus(Record):
 
     def __init__(self, surface: SurfaceModel, values: tuple[int, ...]) -> None:
         object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _integers(values, "value"))
         self.__post_init__()
 
     def __post_init__(self):
@@ -394,7 +391,7 @@ class EnhancementPlus(Record):
                 f"expected {pres.z2_rank} generator values, got {len(self.values)}"
             )
         for v in self.values:
-            if not isinstance(v, int) or not 0 <= v < 2:
+            if not 0 <= v < 2:
                 raise InputError(f"value {v!r} is not a residue mod 2")
 
 

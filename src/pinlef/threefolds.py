@@ -15,15 +15,11 @@ classes followed by the belt classes (reports keep this row order).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from . import finite_linalg as fl
 from . import surfaces as sf
 from ._record import Record
 from .constraints import ConstraintSystem, DecisionReport, rank_mismatch, z2_matrix
 from .errors import InputError, InvalidDecomposition, InvariantViolation
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class HandlebodyDecomposition3(Record):
@@ -89,7 +85,7 @@ class HandlebodyDecomposition3(Record):
         """Names of the listed classes: a1..ag attaching, then b1..bg belt."""
         return tuple(f"{side}{j}" for side in "ab" for j in range(1, self.genus + 1))
 
-    def z2_class_matrix(self) -> np.ndarray:
+    def z2_class_matrix(self) -> fl.MatGF2:
         return z2_matrix(self.boundary, self.listed_classes())
 
 

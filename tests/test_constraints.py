@@ -13,7 +13,7 @@ from pinlef import lefschetz as lf
 from pinlef import surfaces as sf
 from pinlef import threefolds as tf
 from pinlef.constraints import ConstraintSystem
-from pinlef.errors import InvariantViolation
+from pinlef.errors import InputError, InvariantViolation
 from helpers import random_decomposition
 
 
@@ -247,3 +247,9 @@ def test_plus_system_on_a_surface_without_pin_plus_raises(classes):
     assert str(err.value) == (
         "enhancement is not well defined modulo the torsion relations"
     )
+
+
+def test_unknown_kind_is_refused_at_construction():
+    with pytest.raises(InputError) as err:
+        ConstraintSystem("spin", P.orientable_surface(1, 1), (P.z4_class([1, 0]),), 1)
+    assert str(err.value) == "unknown enhancement kind 'spin'"

@@ -620,3 +620,60 @@ def test_input_errors_name_the_fault(call, message):
     with pytest.raises(InputError) as err:
         call()
     assert str(err.value) == message
+
+
+# Each record reads its entries with operator.index and stores plain ints.
+_ENTRY_RECORDS = {
+    "class": (lambda e: P.HomologyClass("Z4", (e, 0)), "coords", "coordinate"),
+    "minus": (lambda e: P.EnhancementMinus(KLEIN, (e, 1)), "values", "value"),
+    "plus": (lambda e: P.EnhancementPlus(KLEIN, (e, 0)), "values", "value"),
+}
+
+
+@pytest.mark.parametrize("record", _ENTRY_RECORDS)
+@pytest.mark.parametrize(
+    "entry", [np.int64(1), np.uint8(1), True], ids=["int64", "uint8", "bool"]
+)
+def test_record_entries_are_stored_as_ints(record, entry):
+    build, field, _ = _ENTRY_RECORDS[record]
+    made, plain = build(entry), build(1)
+    assert type(getattr(made, field)[0]) is int
+    assert made == plain and hash(made) == hash(plain)
+    assert repr(made) == repr(plain)
+
+
+@pytest.mark.parametrize("record", _ENTRY_RECORDS)
+@pytest.mark.parametrize(
+    "entry, shown",
+    [(1.0, "1.0"), ("1", "'1'"), (None, "None")],
+    ids=["float", "str", "none"],
+)
+def test_record_entries_must_be_integers(record, entry, shown):
+    build, _, what = _ENTRY_RECORDS[record]
+    with pytest.raises(InputError) as err:
+        build(entry)
+    assert str(err.value) == f"{what} {shown} is not an integer"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: P.HomologyClass("Z2", (np.int64(2),)),
+            "coordinate 2 out of range for Z2 class",
+        ),
+        (
+            lambda: P.EnhancementMinus(KLEIN, (np.int64(5), 1)),
+            "value 5 is not a residue mod 4",
+        ),
+        (
+            lambda: P.EnhancementPlus(KLEIN, (np.uint8(2), 0)),
+            "value 2 is not a residue mod 2",
+        ),
+    ],
+    ids=["class", "minus", "plus"],
+)
+def test_numpy_entries_out_of_range_keep_the_message(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message

@@ -362,6 +362,9 @@ def _fibration(doc: InputDocument) -> lf.LefschetzFibration:
 
 def _decide(doc: InputDocument, kind: str) -> lf.DecisionReport:
     if doc.threefold is not None:
+        if doc.cycles is not None or doc.embedded_surfaces:
+            extra = "cycles" if doc.cycles is not None else "embedded-surface"
+            raise InputError(f"a threefold document takes no [{extra}] section")
         if kind == "plus":
             return tf.decide_pin_plus_3mfd(doc.threefold)
         return tf.solve_pin_minus_3mfd(doc.threefold)

@@ -1,10 +1,10 @@
 """The affine Z2 system behind every Pin decider and brute-force oracle.
 
 Each question asks for an enhancement q = q0 + correction of a surface
-taking one value on every listed class.  Row i of C is the mod-2 reduction
-of class i; A_i is (target - q0(v_i))/2 mod 2 for minus enhancements (v_i
-is two-sided, so q0(v_i) is even) and target + q0(c_i) mod 2 for plus ones.
-One elimination of [C | A | I] gives rank(C) and either every solution or
+taking one value on every listed class; a correction bit moves a value by
+the kind's ``step`` (2 for minus, 1 for plus).  Row i of C is the mod-2
+reduction of class i and A_i is (target - q0(c_i)) / step mod 2.  One
+elimination of [C | A | I] gives rank(C) and either every solution or
 a row combination y with y.C = 0 and y.A = 1.
 """
 
@@ -166,11 +166,6 @@ def z2_rows(surface: sf.SurfaceModel, classes) -> fl.BitRows:
     )
 
 
-def z2_matrix(surface: sf.SurfaceModel, classes) -> fl.MatGF2:
-    """Mod-2 reductions of the classes as a read-only array, one row per class."""
-    return z2_rows(surface, classes).to_array()
-
-
 def _spread(x: int, width: int) -> int:
     """A bit row as a ``_pack``ed value row: each bit becomes a byte."""
     return int.from_bytes(fl.unpack_bits(x, width), "big")
@@ -187,7 +182,8 @@ def rank_mismatch(reason: str) -> Callable[[int, list[int]], tuple]:
 
 class ConstraintSystem(Record):
     """Enhancements of ``kind`` ("minus" or "plus") on ``surface`` taking
-    the value ``target`` on each of the Z4 ``classes``, in row order."""
+    the value ``target``, a residue mod 2 * step, on each of the Z4
+    ``classes``, in row order."""
 
     def __init__(
         self,
@@ -198,6 +194,9 @@ class ConstraintSystem(Record):
     ) -> None:
         if kind not in _ENHANCEMENT:
             raise InputError(f"unknown enhancement kind {kind!r}")
+        target = sf.as_integer(target, "target")
+        if not 0 <= target < 2 * _ENHANCEMENT[kind].step:
+            raise InputError(f"target {target} is not a {kind} enhancement value")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "classes", classes)
@@ -209,20 +208,28 @@ class ConstraintSystem(Record):
         ``certify(rank, y)`` words a NO from rank(C) and the indices y of
         the rows that sum to zero while their targets sum to one,
         returning (certificate, witness).  A plus system on a surface
-        without Pin+ raises InvariantViolation, as ``eval_qplus`` does.
+        without Pin+ raises InvariantViolation, as ``eval_qplus`` does; a
+        minus target of the wrong parity for a class raises InputError.
         """
         s = self.surface
         if self.kind == "minus":
             q0 = sf.base_enhancement_minus(s)
-            rhs = [
-                ((self.target - sf.eval_qminus(q0, sf.z2_reduction(c))) // 2) % 2
-                for c in self.classes
-            ]
+            values = [sf.eval_qminus(q0, sf.z2_reduction(c)) for c in self.classes]
         else:
             if sf.pin_plus_obstruction(s) is not None:
                 raise InvariantViolation(sf.NOT_WELL_DEFINED)
             q0 = sf.base_enhancement_plus(s)
-            rhs = [(self.target + sf.eval_qplus(q0, c)) % 2 for c in self.classes]
+            values = [sf.eval_qplus(q0, c) for c in self.classes]
+        step, rhs = q0.step, []
+        for n, (c, value) in enumerate(zip(self.classes, values), start=1):
+            gap, odd = divmod(self.target - value, step)
+            if odd:  # q(c) = q0(c) mod step for every q
+                txt = sf.format_class(sf.homology_presentation(s), c.coords)
+                raise InputError(
+                    f"no {self.kind} enhancement takes the value {self.target} "
+                    f"on class {n} ({txt})"
+                )
+            rhs.append(gap % 2)
         C = z2_rows(s, self.classes)
         rank, particular, kernel, y = fl.eliminate_bits(C, rhs)
         n, r = C.shape
@@ -232,11 +239,10 @@ class ConstraintSystem(Record):
             return DecisionReport(
                 self.kind, False, 0, self._none(), dim, certificate, witness
             )
-        # A minus structure is q0 + 2x: x sits in bit 1 of each value byte,
-        # above q0's bit 0.  The plus base enhancement is zero everywhere.
-        shift = 1 if self.kind == "minus" else 0
-        first = _pack(q0.values) | _spread(particular, r) << shift
-        kernel = tuple(_spread(k, r) << shift for k in kernel)
+        # A structure is q0 + step * x: for minus, x sits in bit 1 of each
+        # value byte, above q0's bit 0; the plus q0 is zero everywhere.
+        first = _pack(q0.values) | _spread(particular, r) * step
+        kernel = tuple(_spread(k, r) * step for k in kernel)
         structures = StructureSet(self.kind, s, first, kernel)
         return DecisionReport(self.kind, True, structures.count, structures, dim)
 

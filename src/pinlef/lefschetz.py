@@ -25,13 +25,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import finite_linalg as fl
 from . import surfaces as sf
 from ._record import Record
-from .constraints import (
-    ConstraintSystem,
-    DecisionReport,
-    rank_mismatch,
-    z2_matrix,
-    z2_rows,
-)
+from .constraints import ConstraintSystem, DecisionReport, rank_mismatch, z2_rows
 from .errors import InputError, InvariantViolation
 
 if TYPE_CHECKING:
@@ -71,7 +65,7 @@ class LefschetzFibration(Record):
 
     def z2_cycle_matrix(self) -> fl.MatGF2:
         """Mod-2 reductions of the cycles, one row per cycle."""
-        return z2_matrix(self.fiber, self.cycles)
+        return z2_rows(self.fiber, self.cycles).to_array()
 
 
 class ObstructionWitness(Record):
@@ -167,7 +161,6 @@ def pin_minus_witness_search(f: LefschetzFibration) -> ObstructionWitness | None
 
     A witness exists if and only if the fibration has no Pin- structure.
     """
-    pres = sf.homology_presentation(f.fiber)
     rows = z2_rows(f.fiber, f.cycles).rows
     n = len(f.cycles)
     for size in range(1, n + 1):
@@ -177,17 +170,11 @@ def pin_minus_witness_search(f: LefschetzFibration) -> ObstructionWitness | None
                 total ^= rows[i]
             if total:
                 continue
-            pair = 0
-            for i, j in combinations(subset, 2):
-                pair += sf.pairing_mod2(pres, f.cycles[i].coords, f.cycles[j].coords)
-            if (size + pair) % 2 == 1:
-                lead, summands = subset[0], subset[1:]
-                inner = 0
-                for i, j in combinations(summands, 2):
-                    inner += sf.pairing_mod2(
-                        pres, f.cycles[i].coords, f.cycles[j].coords
-                    )
-                return ObstructionWitness(lead, summands, inner % 2)
+            # The lead is the sum of the summands and pairs evenly with
+            # itself, so the whole subset's pairwise parity is the summands'.
+            witness = _witness_from_combination(f, subset)
+            if (witness.k + witness.pair_sum) % 2 == 0:
+                return witness
     return None
 
 

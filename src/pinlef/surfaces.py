@@ -27,7 +27,9 @@ Two kinds of quadratic enhancement refine the intersection pairing:
   q(x + y) = q(x) + q(y) + x.y, the pairing taken on mod-2 reductions.
 
 Both are stored by their values on the generators.  The full enhancement
-sets are torsors over mod-2 cohomology via :func:`act_h1`.
+sets are torsors over mod-2 cohomology via :func:`act_h1`: a cohomology
+bit moves a generator value by the class's ``step`` (minus 2, plus 1),
+mod 2 * step.
 """
 
 from __future__ import annotations
@@ -330,7 +332,6 @@ def format_class(pres: HomologyPresentation, coords) -> str:
     """Render coordinates like ``2e1`` or ``e2+e6`` using generator labels."""
     parts = []
     for a, label in zip(coords, pres.generators):
-        a = int(a)
         if a == 0:
             continue
         parts.append(label if a == 1 else f"{a}{label}")
@@ -349,6 +350,8 @@ class EnhancementMinus(Record):
     q(x + y) = q(x) + q(y) + 2 x.y forces q(e) = e.e mod 2 on every
     generator, which is validated here.
     """
+
+    step = 2
 
     def __init__(self, surface: SurfaceModel, values: tuple[int, ...]) -> None:
         object.__setattr__(self, "surface", surface)
@@ -378,6 +381,8 @@ class EnhancementPlus(Record):
     crosscap count mod 2 on the relation row (2, ..., 2), so none is well
     defined exactly when :func:`pin_plus_obstruction` is set.
     """
+
+    step = 1
 
     def __init__(self, surface: SurfaceModel, values: tuple[int, ...]) -> None:
         object.__setattr__(self, "surface", surface)
@@ -464,13 +469,9 @@ def act_h1(q: EnhancementMinus | EnhancementPlus, gamma):
     bits = _residues(gamma, 2)
     if len(bits) != pres.z2_rank:
         raise InputError("cohomology class length does not match the generators")
-    if isinstance(q, EnhancementMinus):
-        return EnhancementMinus(
-            q.surface, tuple((v + 2 * g) % 4 for v, g in zip(q.values, bits))
-        )
-    return EnhancementPlus(
-        q.surface, tuple((v + g) % 2 for v, g in zip(q.values, bits))
-    )
+    step = q.step
+    values = tuple((v + step * g) % (2 * step) for v, g in zip(q.values, bits))
+    return type(q)(q.surface, values)
 
 
 def enumerate_enhancements(s: SurfaceModel, kind: str) -> list:

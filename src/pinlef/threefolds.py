@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import finite_linalg as fl
 from . import surfaces as sf
 from ._record import Record
-from .constraints import ConstraintSystem, DecisionReport, rank_mismatch, z2_matrix
+from .constraints import ConstraintSystem, DecisionReport, rank_mismatch, z2_rows
 from .errors import InputError, InvalidDecomposition, InvariantViolation
 
 
@@ -86,7 +86,7 @@ class HandlebodyDecomposition3(Record):
         return tuple(f"{side}{j}" for side in "ab" for j in range(1, self.genus + 1))
 
     def z2_class_matrix(self) -> fl.MatGF2:
-        return z2_matrix(self.boundary, self.listed_classes())
+        return z2_rows(self.boundary, self.listed_classes()).to_array()
 
 
 def decide_pin_plus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:

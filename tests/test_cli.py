@@ -741,3 +741,21 @@ def test_main_reads_a_byte_order_mark_and_counts_lines_by_newlines(capsys, tmp_p
     doc.write_bytes(b"[surface]\x0c\nkind = orientable\ngenus = 1\xe9\n")
     assert cli.main(["decide", str(doc)]) == 2
     assert capsys.readouterr().err == "error: line 3: input is not valid UTF-8\n"
+
+
+_THREEFOLD_EXTRAS = {
+    "cycles": "\n[cycles]\n3,3\n1,0\n",
+    "embedded-surface": SPHERE_TEXT[SPHERE_TEXT.index("\n[embedded-surface]") :],
+}
+
+
+@pytest.mark.parametrize("command", ["decide", "enumerate", "oracle"])
+@pytest.mark.parametrize("section", sorted(_THREEFOLD_EXTRAS))
+def test_threefold_document_refuses_other_sections(capsys, tmp_path, command, section):
+    doc = tmp_path / "threefold.pinlef"
+    doc.write_text(THREEFOLD_TEXT + _THREEFOLD_EXTRAS[section])
+    assert cli.main([command, str(doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: a threefold document takes no [{section}] section\n"
+    assert cli.main(["surface-info", str(doc)]) == 0

@@ -253,3 +253,91 @@ def test_unknown_kind_is_refused_at_construction():
     with pytest.raises(InputError) as err:
         ConstraintSystem("spin", P.orientable_surface(1, 1), (P.z4_class([1, 0]),), 1)
     assert str(err.value) == "unknown enhancement kind 'spin'"
+
+
+TORUS_1 = P.orientable_surface(1, 1)
+
+
+def _unsolvable(rank, y):
+    return "unsolvable", None
+
+
+@pytest.mark.parametrize(
+    "kind, target", [("minus", 5), ("minus", -1), ("plus", 2), ("plus", -1)]
+)
+def test_target_out_of_range_is_refused_at_construction(kind, target):
+    with pytest.raises(InputError) as err:
+        ConstraintSystem(kind, TORUS_1, (P.z4_class([1, 0]),), target)
+    assert str(err.value) == f"target {target} is not a {kind} enhancement value"
+
+
+def test_target_that_is_not_an_integer_is_refused():
+    with pytest.raises(InputError, match="target 2.0 is not an integer"):
+        ConstraintSystem("minus", TORUS_1, (), 2.0)
+
+
+@pytest.mark.parametrize(
+    "surface, rows, target, named",
+    [
+        (TORUS_1, [[1, 0]], 1, "class 1 (a1)"),
+        (TORUS_1, [[1, 0]], 3, "class 1 (a1)"),
+        (P.non_orientable_surface(1, 1), [[2], [1]], 2, "class 2 (e1)"),
+    ],
+)
+def test_minus_target_of_the_wrong_parity_raises(surface, rows, target, named):
+    classes = tuple(P.z4_class(row) for row in rows)
+    system = ConstraintSystem("minus", surface, classes, target)
+    assert system.brute_force() == []
+    with pytest.raises(InputError) as err:
+        system.decide(_unsolvable)
+    assert str(err.value) == f"no minus enhancement takes the value {target} on {named}"
+
+
+_SYSTEM_SURFACES = [
+    P.orientable_surface(0, 2),
+    P.non_orientable_surface(1, 1),
+    P.orientable_surface(1, 0),
+    P.non_orientable_surface(2, 0),
+    P.non_orientable_surface(3, 0),
+    P.orientable_surface(1, 2),
+    P.non_orientable_surface(2, 3),
+    P.orientable_surface(2, 2),
+    P.non_orientable_surface(5, 1),
+    P.orientable_surface(3, 0),
+    P.non_orientable_surface(6, 0),
+]
+
+
+def test_decide_agrees_with_brute_force_for_every_target():
+    # Classes of either parity, every target in range: the decider either
+    # names a class no enhancement can meet or lists brute_force's set.
+    rng = random.Random(1207)
+    for _ in range(120):
+        s = rng.choice(_SYSTEM_SURFACES)
+        pres = sf.homology_presentation(s)
+        classes = tuple(
+            P.z4_class([rng.randrange(4) for _ in range(s.z2_rank)])
+            for _ in range(rng.randint(0, 4))
+        )
+        for kind, step in (("minus", 2), ("plus", 1)):
+            for target in range(2 * step):
+                system = ConstraintSystem(kind, s, classes, target)
+                brute = system.brute_force()
+                if kind == "plus" and not sf.pin_plus_exists_surface(s):
+                    assert brute == []
+                    with pytest.raises(InvariantViolation):
+                        system.decide(_unsolvable)
+                    continue
+                odd = [
+                    n
+                    for n, c in enumerate(classes, start=1)
+                    if kind == "minus"
+                    and sf.self_intersection_mod2(pres, c.coords) != target % 2
+                ]
+                if odd:
+                    assert brute == []
+                    with pytest.raises(InputError, match=f"on class {odd[0]} "):
+                        system.decide(_unsolvable)
+                    continue
+                report = system.decide(_unsolvable)
+                assert list(report.structures) == brute

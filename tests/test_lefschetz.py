@@ -8,6 +8,7 @@ from itertools import combinations, product
 import pytest
 
 import pinlef as P
+from pinlef import surfaces as sf
 from pinlef.errors import InputError, InvariantViolation
 from helpers import RANK_3_4_FIBERS, RANK_LE_2_FIBERS, sample_instances
 
@@ -297,3 +298,35 @@ def test_sphere_criterion_odd_euler_cancels_square():
     # chi + [sigma]^2 + cup = 1 + 1 + 0 = 0: the dual surface does not
     # obstruct Pin+, so the disk-part verdict stands
     assert verdicts.pin_plus == P.decide_pin_plus(disk_part).exists
+
+
+def _reference_witness(f):
+    """The first zero-sum cycle subset, by size then lexicographically,
+    whose size plus the parity of all its pairwise intersections is odd."""
+    pres = P.homology_presentation(f.fiber)
+    coords = [c.coords for c in f.cycles]
+
+    def pair_parity(subset):
+        pairs = combinations(subset, 2)
+        return sum(sf.pairing_mod2(pres, coords[i], coords[j]) for i, j in pairs) % 2
+
+    for size in range(1, len(coords) + 1):
+        for subset in combinations(range(len(coords)), size):
+            if any(sum(coords[i][g] for i in subset) % 2 for g in range(pres.rank)):
+                continue
+            if (size + pair_parity(subset)) % 2 == 1:
+                return P.ObstructionWitness(
+                    subset[0], subset[1:], pair_parity(subset[1:])
+                )
+    return None
+
+
+def test_witness_search_returns_the_first_witness_exactly():
+    rng = random.Random(2012)
+    fibers = RANK_LE_2_FIBERS + RANK_3_4_FIBERS
+    found = 0
+    for f in sample_instances(rng, fibers, 400, max_cycles=6):
+        expected = _reference_witness(f)
+        assert repr(P.pin_minus_witness_search(f)) == repr(expected)
+        found += expected is not None
+    assert found > 100

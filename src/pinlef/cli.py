@@ -197,10 +197,10 @@ def parse(text: str) -> InputDocument:
             pairs["threefold"], three_rows, surface, seen["threefold"]
         )
 
-    blocks = tuple(
+    blocks = tuple([
         _build_embedded(kv, block_line, n)
         for n, (kv, block_line) in enumerate(embedded, start=1)
-    )
+    ])
 
     return InputDocument(
         surface=surface,
@@ -304,7 +304,7 @@ def _residue_classes(
         for a in row:
             if not 0 <= a <= 3:
                 raise ParseError(lineno, f"residue {a} out of range 0..3")
-    return tuple(sf.HomologyClass("Z4", tuple(row)) for row, _ in rows)
+    return tuple([sf.HomologyClass("Z4", tuple(row)) for row, _ in rows])
 
 
 def serialize(doc: InputDocument) -> str:

@@ -162,7 +162,7 @@ class DecisionReport(Record):
 def z2_rows(surface: sf.SurfaceModel, classes) -> fl.BitRows:
     """Mod-2 reductions of the classes, one packed row per class."""
     return fl.BitRows(
-        tuple(fl.pack_bits(c.coords) for c in classes), surface.z2_rank
+        tuple([fl.pack_bits(c.coords) for c in classes]), surface.z2_rank
     )
 
 
@@ -242,7 +242,7 @@ class ConstraintSystem(Record):
         # A structure is q0 + step * x: for minus, x sits in bit 1 of each
         # value byte, above q0's bit 0; the plus q0 is zero everywhere.
         first = _pack(q0.values) | _spread(particular, r) * step
-        kernel = tuple(_spread(k, r) * step for k in kernel)
+        kernel = tuple([_spread(k, r) * step for k in kernel])
         structures = StructureSet(self.kind, s, first, kernel)
         return DecisionReport(self.kind, True, structures.count, structures, dim)
 
@@ -259,14 +259,41 @@ class ConstraintSystem(Record):
         return StructureSet(self.kind, self.surface, None)
 
     def brute_force(self) -> list:
-        """Every enhancement meeting the targets, by scanning all 2**rank."""
+        """Every enhancement meeting the targets, by scanning all 2**rank.
+
+        Candidate t stands for q0 acted on by the bits of t, which moves
+        q0's value on a class c by step * popcount(c & t).  Each class is
+        thus a parity test on t; the scan runs over plain ints, stops at a
+        candidate's first miss and builds only the hits.
+        """
+        build = sf._candidate_builder(self.surface, self.kind)
+        if build is None:
+            return []
         if self.kind == "minus":
             evaluate = sf.eval_qminus
             classes = [sf.z2_reduction(c) for c in self.classes]
         else:
             evaluate, classes = sf.eval_qplus, self.classes
-        return [
-            q
-            for q in sf.enumerate_enhancements(self.surface, self.kind)
-            if all(evaluate(q, x) == self.target for x in classes)
-        ]
+        q0, tests, error = build(0), [], None
+        for x in classes:
+            try:
+                value = evaluate(q0, x)
+            except InputError as exc:
+                # Raised only if a candidate meets every earlier class: a
+                # class that no candidate reaches is never evaluated.
+                error = exc
+                break
+            gap, odd = divmod(self.target - value, q0.step)
+            if odd:  # no candidate meets x, so none reaches a later class
+                return []
+            tests.append((fl.pack_bits(x.coords), gap % 2))
+        hits = []
+        for t in range(1 << len(q0.values)):
+            for mask, parity in tests:
+                if (mask & t).bit_count() & 1 != parity:
+                    break
+            else:
+                hits.append(t)
+        if hits and error is not None:
+            raise error
+        return [build(t) for t in hits]

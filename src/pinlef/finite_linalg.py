@@ -211,7 +211,7 @@ def _rref_bits(m: BitRows) -> tuple[int, BitRows, list[int]]:
         basis[lead] = row
         done |= 1 << (lead - 1)
     leads.reverse()
-    rows = tuple(basis[lead] for lead in leads) + (0,) * (len(m.rows) - len(leads))
+    rows = tuple([basis[lead] for lead in leads]) + (0,) * (len(m.rows) - len(leads))
     return len(leads), BitRows(rows, m.ncols), [m.ncols - lead for lead in leads]
 
 
@@ -244,10 +244,10 @@ def eliminate_bits(
             f"system has {nrows} rows but right-hand side has length {len(targets)}"
         )
     aug = BitRows(
-        tuple(
+        tuple([
             (row << 1 | a) << nrows | 1 << (nrows - 1 - i)
             for i, (row, a) in enumerate(zip(C.rows, targets))
-        ),
+        ]),
         ncols + 1 + nrows,
     )
     _, reduced, pivot_cols = rref_gf2(aug)

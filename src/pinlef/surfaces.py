@@ -35,7 +35,6 @@ mod 2 * step.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import product
 from operator import index
 
 from . import finite_linalg as fl
@@ -258,8 +257,13 @@ def as_integer(value, what: str) -> int:
 def _integers(entries, what: str) -> tuple[int, ...]:
     """Each entry as an int, as :func:`as_integer` reads it."""
     entries = tuple(entries)
+    # tuple() of an iterator without a length hint starts at ten slots and
+    # shrinks, so the tuple is freed onto another size's free list than it
+    # came from, and CPython keeps up to 2000 a size until a full garbage
+    # collection.  Hot paths therefore build tuples from lists, which size
+    # them exactly.
     try:
-        return tuple(map(index, entries))
+        return tuple(list(map(index, entries)))
     except TypeError:  # as_integer names the first entry that is not one
         return tuple([as_integer(a, what) for a in entries])
 
@@ -281,7 +285,7 @@ def z2_reduction(x: HomologyClass) -> HomologyClass:
     """Reduce a Z4 class mod 2 (identity on Z2 classes)."""
     if x.ring == "Z2":
         return x
-    return HomologyClass("Z2", tuple(a % 2 for a in x.coords))
+    return HomologyClass("Z2", tuple([a % 2 for a in x.coords]))
 
 
 def pairing_mod2(pres: HomologyPresentation, u, v) -> int:
@@ -474,6 +478,31 @@ def act_h1(q: EnhancementMinus | EnhancementPlus, gamma):
     return type(q)(q.surface, values)
 
 
+def _candidate_builder(s: SurfaceModel, kind: str):
+    """Candidate t -> the base enhancement of ``kind`` acted on, as by
+    :func:`act_h1`, by the bits of t, the first generator the most
+    significant: candidate 0 is the base and ascending t is lexicographic
+    value order.  None for plus on a surface without Pin+.
+    """
+    if kind == "minus":
+        base = base_enhancement_minus(s)
+    elif kind == "plus":
+        if not pin_plus_exists_surface(s):
+            return None
+        base = base_enhancement_plus(s)
+    else:
+        raise InputError(f"unknown enhancement kind {kind!r}")
+    cls, r, step = type(base), len(base.values), base.step
+    packed = int.from_bytes(bytes(base.values), "big")
+
+    def build(t: int) -> EnhancementMinus | EnhancementPlus:
+        # Base values are below step, so adding step * bit never carries.
+        moved = packed | int.from_bytes(fl.unpack_bits(t, r), "big") * step
+        return cls(s, tuple(moved.to_bytes(r, "big")))
+
+    return build
+
+
 def enumerate_enhancements(s: SurfaceModel, kind: str) -> list:
     """All enhancements of the given kind, in lexicographic value order.
 
@@ -481,18 +510,7 @@ def enumerate_enhancements(s: SurfaceModel, kind: str) -> list:
     Pin+ admits no plus enhancements at all (empty list; see
     :func:`pin_plus_obstruction` for the note).
     """
-    pres = homology_presentation(s)
-    r = pres.z2_rank
-    if kind == "minus":
-        base = base_enhancement_minus(s).values
-        return [
-            EnhancementMinus(s, tuple((b + 2 * t) % 4 for b, t in zip(base, bits)))
-            for bits in product((0, 1), repeat=r)
-        ]
-    if kind == "plus":
-        if not pin_plus_exists_surface(s):
-            return []
-        return [
-            EnhancementPlus(s, bits) for bits in product((0, 1), repeat=r)
-        ]
-    raise InputError(f"unknown enhancement kind {kind!r}")
+    build = _candidate_builder(s, kind)
+    if build is None:
+        return []
+    return [build(t) for t in range(1 << homology_presentation(s).z2_rank)]

@@ -83,7 +83,7 @@ class HandlebodyDecomposition3(Record):
 
     def row_labels(self) -> tuple[str, ...]:
         """Names of the listed classes: a1..ag attaching, then b1..bg belt."""
-        return tuple(f"{side}{j}" for side in "ab" for j in range(1, self.genus + 1))
+        return tuple([f"{side}{j}" for side in "ab" for j in range(1, self.genus + 1)])
 
     def z2_class_matrix(self) -> fl.MatGF2:
         return z2_rows(self.boundary, self.listed_classes()).to_array()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -280,6 +281,23 @@ def test_oracle_rank_guard():
     )
     with pytest.raises(InputError, match="oracle refused"):
         cli.run("oracle", doc)
+
+
+def test_oracle_scans_in_little_memory():
+    # Rank 14: each kind scans 2**14 candidates, but builds only the
+    # structures that meet every cycle.
+    rng = random.Random(14)
+    cycles = tuple(_two_sided([rng.randrange(4) for _ in range(14)]) for _ in range(8))
+    doc = cli.InputDocument(P.non_orientable_surface(14, 0), cycles)
+    tracemalloc.start()
+    try:
+        text, status = cli.run("oracle", doc, kind="both")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.endswith("overall: AGREE\n")
+    assert status == 0
+    assert peak < 1 << 20
 
 
 def test_surface_info_klein():

@@ -341,3 +341,75 @@ def test_decide_agrees_with_brute_force_for_every_target():
                     continue
                 report = system.decide(_unsolvable)
                 assert list(report.structures) == brute
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive scan against a filter over every built enhancement
+# ---------------------------------------------------------------------------
+
+
+def _filtered(system):
+    """brute_force's list as a filter over every enhancement, each one built
+    and evaluated on every class."""
+    if system.kind == "minus":
+        evaluate = sf.eval_qminus
+        classes = [sf.z2_reduction(c) for c in system.classes]
+    else:
+        evaluate, classes = sf.eval_qplus, system.classes
+    return [
+        q
+        for q in sf.enumerate_enhancements(system.surface, system.kind)
+        if all(evaluate(q, x) == system.target for x in classes)
+    ]
+
+
+def _scanned_systems(seed):
+    """Fibrations over SMALL_FIBERS and a closed surface with 5 crosscaps,
+    and threefold boundaries of genus 1-4, as (surface, classes)."""
+    rng = random.Random(seed)
+    for surface in [*SMALL_FIBERS, P.non_orientable_surface(5, 0)]:
+        for _ in range(3):
+            f = _random_fibration(rng, surface)
+            yield surface, f.cycles
+    for genus in (1, 2, 3, 4):
+        d = random_decomposition(rng, genus)
+        yield d.boundary, d.listed_classes()
+
+
+@pytest.mark.parametrize("seed", [5, 29])
+def test_brute_force_equals_the_filter_over_every_enhancement(seed):
+    hits = set()
+    for surface, classes in _scanned_systems(seed):
+        for kind, step in (("minus", 2), ("plus", 1)):
+            # Every target, the wrong-parity minus ones (always []) too.
+            for target in range(2 * step):
+                system = ConstraintSystem(kind, surface, classes, target)
+                found = system.brute_force()
+                assert found == _filtered(system)
+                hits.add(bool(found))
+    assert hits == {True, False}
+
+
+_WRONG_LENGTH = "class length does not match the surface's generators"
+
+
+@pytest.mark.parametrize(
+    "kind, classes, message",
+    [
+        ("plus", (P.z4_class([1]),), _WRONG_LENGTH),
+        ("minus", (P.z4_class([1, 1, 0]),), _WRONG_LENGTH),
+        ("plus", (P.z2_class([1, 0]),), "eval_qplus takes a Z4 class"),
+    ],
+)
+def test_brute_force_raises_the_evaluators_input_errors(kind, classes, message):
+    system = ConstraintSystem(kind, TORUS_1, classes, 0)
+    with pytest.raises(InputError) as err:
+        system.brute_force()
+    assert str(err.value) == message
+
+
+def test_brute_force_never_evaluates_a_class_no_candidate_reaches():
+    # No plus enhancement is 1 on (2, 0), so the scan never evaluates the
+    # wrong-length class after it.
+    classes = (P.z4_class([2, 0]), P.z4_class([1]))
+    assert ConstraintSystem("plus", TORUS_1, classes, 1).brute_force() == []

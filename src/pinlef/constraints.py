@@ -23,13 +23,38 @@ if TYPE_CHECKING:
     from .lefschetz import ObstructionWitness
 
 
-_ENHANCEMENT = {"minus": sf.EnhancementMinus, "plus": sf.EnhancementPlus}
+# Each kind's enhancement class, base enhancement and value on a Z4 class.
+# The lambdas look ``sf`` up when called, so that a wrapper set on the
+# module, as bench/spans.py sets one, sees these calls too.
+_KINDS = {
+    "minus": (
+        sf.EnhancementMinus,
+        lambda s: sf.base_enhancement_minus(s),
+        lambda q, c: sf.eval_qminus(q, sf.z2_reduction(c)),
+    ),
+    "plus": (
+        sf.EnhancementPlus,
+        lambda s: sf.base_enhancement_plus(s),
+        lambda q, c: sf.eval_qplus(q, c),
+    ),
+}
 
 
 def _pack(values) -> int:
     """Generator values (each 0..3) as one int, a byte per generator, the
     first generator most significant: int order is lexicographic order."""
     return int.from_bytes(bytes(values), "big")
+
+
+def _acted(q0: int, x: int, width: int, step: int) -> int:
+    """The ``_pack``ed q0 acted on by the bit row x as by :func:`sf.act_h1`:
+    step is added where x has a bit; q0's values are below step."""
+    return q0 | int.from_bytes(fl.unpack_bits(x, width), "big") * step
+
+
+def _enhancement(kind: str, s: sf.SurfaceModel, packed: int):
+    """The enhancement of ``kind`` on s whose values ``_pack`` to packed."""
+    return _KINDS[kind][0](s, tuple(packed.to_bytes(s.z2_rank, "big")))
 
 
 class StructureSet(Record):
@@ -89,7 +114,7 @@ class StructureSet(Record):
     def __contains__(self, q) -> bool:
         if (
             self.first is None
-            or type(q) is not _ENHANCEMENT[self.kind]
+            or type(q) is not _KINDS[self.kind][0]
             or q.surface != self.surface
         ):
             return False
@@ -124,8 +149,7 @@ class StructureSet(Record):
             yield packed
 
     def _structure(self, packed: int) -> sf.EnhancementMinus | sf.EnhancementPlus:
-        values = tuple(packed.to_bytes(self.surface.z2_rank, "big"))
-        return _ENHANCEMENT[self.kind](self.surface, values)
+        return _enhancement(self.kind, self.surface, packed)
 
 
 class DecisionReport(Record):
@@ -166,11 +190,6 @@ def z2_rows(surface: sf.SurfaceModel, classes) -> fl.BitRows:
     )
 
 
-def _spread(x: int, width: int) -> int:
-    """A bit row as a ``_pack``ed value row: each bit becomes a byte."""
-    return int.from_bytes(fl.unpack_bits(x, width), "big")
-
-
 def rank_mismatch(reason: str) -> Callable[[int, list[int]], tuple]:
     """A ``certify`` for :meth:`ConstraintSystem.decide` that words a NO by
     the ranks of C and C|A and ``reason``, with no witness."""
@@ -192,14 +211,14 @@ class ConstraintSystem(Record):
         classes: tuple[sf.HomologyClass, ...],
         target: int,
     ) -> None:
-        if kind not in _ENHANCEMENT:
+        if kind not in _KINDS:
             raise InputError(f"unknown enhancement kind {kind!r}")
         target = sf.as_integer(target, "target")
-        if not 0 <= target < 2 * _ENHANCEMENT[kind].step:
+        if not 0 <= target < 2 * _KINDS[kind][0].step:
             raise InputError(f"target {target} is not a {kind} enhancement value")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "classes", tuple(classes))
         object.__setattr__(self, "target", target)
 
     def decide(self, certify: Callable[[int, list[int]], tuple]) -> DecisionReport:
@@ -212,14 +231,12 @@ class ConstraintSystem(Record):
         minus target of the wrong parity for a class raises InputError.
         """
         s = self.surface
-        if self.kind == "minus":
-            q0 = sf.base_enhancement_minus(s)
-            values = [sf.eval_qminus(q0, sf.z2_reduction(c)) for c in self.classes]
-        else:
-            if sf.pin_plus_obstruction(s) is not None:
-                raise InvariantViolation(sf.NOT_WELL_DEFINED)
-            q0 = sf.base_enhancement_plus(s)
-            values = [sf.eval_qplus(q0, c) for c in self.classes]
+        if self.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
+            raise InvariantViolation(sf.NOT_WELL_DEFINED)
+        _, base, evaluate = _KINDS[self.kind]
+        q0 = base(s)
+        # Evaluate every class first: an evaluator's error outranks a parity one.
+        values = [evaluate(q0, c) for c in self.classes]
         step, rhs = q0.step, []
         for n, (c, value) in enumerate(zip(self.classes, values), start=1):
             gap, odd = divmod(self.target - value, step)
@@ -239,10 +256,8 @@ class ConstraintSystem(Record):
             return DecisionReport(
                 self.kind, False, 0, self._none(), dim, certificate, witness
             )
-        # A structure is q0 + step * x: for minus, x sits in bit 1 of each
-        # value byte, above q0's bit 0; the plus q0 is zero everywhere.
-        first = _pack(q0.values) | _spread(particular, r) * step
-        kernel = tuple([_spread(k, r) * step for k in kernel])
+        first = _acted(_pack(q0.values), particular, r, step)
+        kernel = tuple([_acted(0, k, r, step) for k in kernel])
         structures = StructureSet(self.kind, s, first, kernel)
         return DecisionReport(self.kind, True, structures.count, structures, dim)
 
@@ -266,29 +281,25 @@ class ConstraintSystem(Record):
         thus a parity test on t; the scan runs over plain ints, stops at a
         candidate's first miss and builds only the hits.
         """
-        build = sf._candidate_builder(self.surface, self.kind)
-        if build is None:
+        s = self.surface
+        if self.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
             return []
-        if self.kind == "minus":
-            evaluate = sf.eval_qminus
-            classes = [sf.z2_reduction(c) for c in self.classes]
-        else:
-            evaluate, classes = sf.eval_qplus, self.classes
-        q0, tests, error = build(0), [], None
-        for x in classes:
+        _, base, evaluate = _KINDS[self.kind]
+        q0, tests, error = base(s), [], None
+        for c in self.classes:
             try:
-                value = evaluate(q0, x)
+                value = evaluate(q0, c)
             except InputError as exc:
                 # Raised only if a candidate meets every earlier class: a
                 # class that no candidate reaches is never evaluated.
                 error = exc
                 break
             gap, odd = divmod(self.target - value, q0.step)
-            if odd:  # no candidate meets x, so none reaches a later class
+            if odd:  # no candidate meets c, so none reaches a later class
                 return []
-            tests.append((fl.pack_bits(x.coords), gap % 2))
-        hits = []
-        for t in range(1 << len(q0.values)):
+            tests.append((fl.pack_bits(c.coords), gap % 2))
+        r, hits = s.z2_rank, []
+        for t in range(1 << r):
             for mask, parity in tests:
                 if (mask & t).bit_count() & 1 != parity:
                     break
@@ -296,4 +307,5 @@ class ConstraintSystem(Record):
                 hits.append(t)
         if hits and error is not None:
             raise error
-        return [build(t) for t in hits]
+        packed, step = _pack(q0.values), q0.step
+        return [_enhancement(self.kind, s, _acted(packed, t, r, step)) for t in hits]

@@ -44,13 +44,13 @@ class LefschetzFibration(Record):
         self, fiber: sf.SurfaceModel, cycles: tuple[sf.HomologyClass, ...] = ()
     ) -> None:
         object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "cycles", tuple(cycles))
         self.__post_init__()
 
     def __post_init__(self):
         pres = sf.homology_presentation(self.fiber)
         for n, c in enumerate(self.cycles, start=1):
-            if c.ring != "Z4":
+            if not isinstance(c, sf.HomologyClass) or c.ring != "Z4":
                 raise InputError(f"cycle {n} must be a Z4 class")
             if len(c.coords) != pres.z2_rank:
                 raise InputError(

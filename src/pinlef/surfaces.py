@@ -347,7 +347,36 @@ def format_class(pres: HomologyPresentation, coords) -> str:
 # ---------------------------------------------------------------------------
 
 
-class EnhancementMinus(Record):
+class _Enhancement(Record):
+    """An enhancement stored by its values on the generators, each a
+    residue mod 2 * step.  q(e) = e.e mod step on every generator, which
+    is validated here; for plus (step 1) it always holds."""
+
+    step: int
+
+    def __init__(self, surface: SurfaceModel, values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "values", _integers(values, "value"))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pres = homology_presentation(self.surface)
+        if len(self.values) != pres.z2_rank:
+            raise InputError(
+                f"expected {pres.z2_rank} generator values, got {len(self.values)}"
+            )
+        step, mod = self.step, 2 * self.step
+        for v, d, label in zip(self.values, pres.diagonal, pres.generators):
+            if not 0 <= v < mod:
+                raise InputError(f"value {v!r} is not a residue mod {mod}")
+            if (v - d) % step:
+                raise InvariantViolation(
+                    f"q({label}) = {v} has the wrong parity; "
+                    "generator values must match self-intersections mod 2"
+                )
+
+
+class EnhancementMinus(_Enhancement):
     """Z4-valued enhancement of the mod-2 intersection form.
 
     Stored by its values on the generators.  The rule
@@ -357,28 +386,8 @@ class EnhancementMinus(Record):
 
     step = 2
 
-    def __init__(self, surface: SurfaceModel, values: tuple[int, ...]) -> None:
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "values", _integers(values, "value"))
-        self.__post_init__()
 
-    def __post_init__(self):
-        pres = homology_presentation(self.surface)
-        if len(self.values) != pres.z2_rank:
-            raise InputError(
-                f"expected {pres.z2_rank} generator values, got {len(self.values)}"
-            )
-        for v, d, label in zip(self.values, pres.diagonal, pres.generators):
-            if not 0 <= v < 4:
-                raise InputError(f"value {v!r} is not a residue mod 4")
-            if v % 2 != d:
-                raise InvariantViolation(
-                    f"q({label}) = {v} has the wrong parity; "
-                    "generator values must match self-intersections mod 2"
-                )
-
-
-class EnhancementPlus(Record):
+class EnhancementPlus(_Enhancement):
     """Z2-valued enhancement of mod-4 homology.
 
     Stored by its values on the generators.  Every assignment takes the
@@ -387,21 +396,6 @@ class EnhancementPlus(Record):
     """
 
     step = 1
-
-    def __init__(self, surface: SurfaceModel, values: tuple[int, ...]) -> None:
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "values", _integers(values, "value"))
-        self.__post_init__()
-
-    def __post_init__(self):
-        pres = homology_presentation(self.surface)
-        if len(self.values) != pres.z2_rank:
-            raise InputError(
-                f"expected {pres.z2_rank} generator values, got {len(self.values)}"
-            )
-        for v in self.values:
-            if not 0 <= v < 2:
-                raise InputError(f"value {v!r} is not a residue mod 2")
 
 
 def base_enhancement_minus(s: SurfaceModel) -> EnhancementMinus:
@@ -478,31 +472,6 @@ def act_h1(q: EnhancementMinus | EnhancementPlus, gamma):
     return type(q)(q.surface, values)
 
 
-def _candidate_builder(s: SurfaceModel, kind: str):
-    """Candidate t -> the base enhancement of ``kind`` acted on, as by
-    :func:`act_h1`, by the bits of t, the first generator the most
-    significant: candidate 0 is the base and ascending t is lexicographic
-    value order.  None for plus on a surface without Pin+.
-    """
-    if kind == "minus":
-        base = base_enhancement_minus(s)
-    elif kind == "plus":
-        if not pin_plus_exists_surface(s):
-            return None
-        base = base_enhancement_plus(s)
-    else:
-        raise InputError(f"unknown enhancement kind {kind!r}")
-    cls, r, step = type(base), len(base.values), base.step
-    packed = int.from_bytes(bytes(base.values), "big")
-
-    def build(t: int) -> EnhancementMinus | EnhancementPlus:
-        # Base values are below step, so adding step * bit never carries.
-        moved = packed | int.from_bytes(fl.unpack_bits(t, r), "big") * step
-        return cls(s, tuple(moved.to_bytes(r, "big")))
-
-    return build
-
-
 def enumerate_enhancements(s: SurfaceModel, kind: str) -> list:
     """All enhancements of the given kind, in lexicographic value order.
 
@@ -510,7 +479,6 @@ def enumerate_enhancements(s: SurfaceModel, kind: str) -> list:
     Pin+ admits no plus enhancements at all (empty list; see
     :func:`pin_plus_obstruction` for the note).
     """
-    build = _candidate_builder(s, kind)
-    if build is None:
-        return []
-    return [build(t) for t in range(1 << homology_presentation(s).z2_rank)]
+    from .constraints import ConstraintSystem  # which imports this module
+
+    return ConstraintSystem(kind, s, (), 0).brute_force()

@@ -38,8 +38,8 @@ class HandlebodyDecomposition3(Record):
         belt_classes: tuple[sf.HomologyClass, ...],
     ) -> None:
         object.__setattr__(self, "genus", sf.as_integer(genus, "handlebody genus"))
-        object.__setattr__(self, "attaching_classes", attaching_classes)
-        object.__setattr__(self, "belt_classes", belt_classes)
+        object.__setattr__(self, "attaching_classes", tuple(attaching_classes))
+        object.__setattr__(self, "belt_classes", tuple(belt_classes))
         self.__post_init__()
 
     def __post_init__(self):
@@ -60,7 +60,7 @@ class HandlebodyDecomposition3(Record):
             ("belt", self.belt_classes),
         ):
             for n, c in enumerate(classes, start=1):
-                if c.ring != "Z4":
+                if not isinstance(c, sf.HomologyClass) or c.ring != "Z4":
                     raise InputError(f"{label} class {n} must be a Z4 class")
                 if len(c.coords) != pres.z2_rank:
                     raise InputError(

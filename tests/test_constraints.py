@@ -413,3 +413,23 @@ def test_brute_force_never_evaluates_a_class_no_candidate_reaches():
     # wrong-length class after it.
     classes = (P.z4_class([2, 0]), P.z4_class([1]))
     assert ConstraintSystem("plus", TORUS_1, classes, 1).brute_force() == []
+
+
+@pytest.mark.parametrize(
+    "kind, classes, message",
+    [
+        ("minus", (P.z4_class([1, 0]), P.z4_class([1])), _WRONG_LENGTH),
+        (
+            "plus",
+            (P.z4_class([1, 0]), P.z2_class([1, 0])),
+            "eval_qplus takes a Z4 class",
+        ),
+    ],
+    ids=["minus-parity-then-length", "plus-then-z2"],
+)
+def test_decide_evaluates_every_class_before_any_parity(kind, classes, message):
+    # Class 1 is of the wrong parity for minus; the error of class 2 wins.
+    system = ConstraintSystem(kind, TORUS_1, classes, 1)
+    with pytest.raises(InputError) as err:
+        system.decide(_unsolvable)
+    assert str(err.value) == message

@@ -258,3 +258,61 @@ else:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# e1 + e2 on the Klein bottle is two-sided; e1 alone is one-sided.
+_TWO_SIDED, _ONE_SIDED = P.z4_class((1, 1)), P.z4_class((1, 0))
+
+
+def test_fibration_keeps_cycles_given_by_a_generator():
+    f = P.LefschetzFibration(KLEIN, (c for c in [_TWO_SIDED]))
+    assert f.cycles == (_TWO_SIDED,)
+    # The product fibration, with no cycle, would have 4.
+    assert P.decide_pin_minus(f).structure_count == 2
+
+
+def test_fibration_keeps_the_cycles_it_validated():
+    cycles = [_TWO_SIDED]
+    f = P.LefschetzFibration(KLEIN, cycles)
+    cycles[0] = _ONE_SIDED
+    assert f.cycles == (_TWO_SIDED,)
+    assert P.decide_pin_minus(f).structure_count == 2
+
+
+def test_listed_classes_of_a_list_and_a_tuple():
+    d = P.HandlebodyDecomposition3(1, [_TWO_SIDED], (P.z4_class((0, 0)),))
+    assert d.listed_classes() == (_TWO_SIDED, P.z4_class((0, 0)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seq: P.LefschetzFibration(KLEIN, seq([_TWO_SIDED])),
+        lambda seq: P.HandlebodyDecomposition3(
+            1, seq([_TWO_SIDED]), seq([_TWO_SIDED])
+        ),
+        lambda seq: cs.ConstraintSystem("minus", KLEIN, seq([_TWO_SIDED]), 2),
+    ],
+    ids=["fibration", "threefold", "system"],
+)
+def test_records_given_lists_store_tuples(make):
+    given, stored = make(list), make(tuple)
+    assert given == stored and hash(given) == hash(stored)
+    assert repr(given) == repr(stored)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: P.LefschetzFibration(KLEIN, ((1, 1),)), "cycle 1 must be a Z4 class"),
+        (
+            lambda: P.HandlebodyDecomposition3(1, [_TWO_SIDED], [(0, 0)]),
+            "belt class 1 must be a Z4 class",
+        ),
+    ],
+    ids=["fibration", "threefold"],
+)
+def test_class_entries_must_be_homology_classes(make, message):
+    with pytest.raises(P.InputError) as err:
+        make()
+    assert str(err.value) == message

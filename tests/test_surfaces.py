@@ -602,6 +602,7 @@ def test_surface_counts_take_ints_bools_and_numpy_integers():
             lambda: P.enumerate_enhancements(KLEIN, "spin"),
             "unknown enhancement kind 'spin'",
         ),
+        (lambda: P.EnhancementMinus(KLEIN, (5, 0)), "value 5 is not a residue mod 4"),
     ],
     ids=[
         "ring",
@@ -614,12 +615,26 @@ def test_surface_counts_take_ints_bools_and_numpy_integers():
         "plus-residue",
         "act-length",
         "enumerate-kind",
+        "minus-residue-before-parity",
     ],
 )
 def test_input_errors_name_the_fault(call, message):
     with pytest.raises(InputError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_enhancement_values_are_checked_one_generator_at_a_time():
+    # Each generator's range, then its parity, before the next generator's.
+    for values, wrong in [((2, 5), "q(e1) = 2"), ((1, 2), "q(e2) = 2")]:
+        with pytest.raises(InvariantViolation) as err:
+            P.EnhancementMinus(KLEIN, values)
+        assert str(err.value) == (
+            f"{wrong} has the wrong parity; "
+            "generator values must match self-intersections mod 2"
+        )
+    # A plus value only has to be a residue mod 2.
+    assert P.EnhancementPlus(KLEIN, (1, 1)).values == (1, 1)
 
 
 # Each record reads its entries with operator.index and stores plain ints.

@@ -16,8 +16,9 @@ Commands:
 
 Both ``--format`` values render the same ordered report sections: ``text``
 as prose lines, ``machine`` as ``[name]`` headers over ``key = value``
-lines.  ``pinlef`` streams its report line by line, after every input error
-has been raised, so a long ``enumerate`` listing is never held whole.
+lines.  ``pinlef`` streams its report in pieces of whole lines, at most
+16 KiB of listing each, after every input error has been raised, so a long
+``enumerate`` listing is never held whole.
 
 Exit status: 0 when every requested structure exists (or the oracle
 agrees), 1 otherwise, 2 on input errors.  Reports are byte-deterministic
@@ -71,8 +72,6 @@ _INT_RE = re.compile(r"-?[0-9]+")
 _ORACLE_RANK_LIMIT = 20
 # enumerate prints one line per structure; beyond this many it refuses.
 _ENUMERATE_LIMIT = 1 << 20
-# Structure value rows are bytes 0..3; this turns them into ASCII digits.
-_DIGITS = bytes.maketrans(bytes(range(4)), b"0123")
 
 
 class InputDocument(Record):
@@ -389,13 +388,14 @@ def _yesno(flag: bool) -> str:
 
 class _Section(Record):
     """A report section: ``--format machine`` prints ``[name]`` and its
-    ``key = value`` pairs, ``--format text`` prints its text lines.  Both
-    may be lazy; only the one rendered is consumed."""
+    ``key = value`` pairs, ``--format text`` prints its text lines.  A str
+    among the pairs is a piece of ``key = value`` lines rendered already.
+    Both may be lazy; only the one rendered is consumed."""
 
     def __init__(
         self,
         name: str,
-        pairs: Iterable[tuple[str, object]],
+        pairs: Iterable[tuple[str, object] | str],
         text: Iterable[str] = (),
     ) -> None:
         object.__setattr__(self, "name", name)
@@ -404,7 +404,8 @@ class _Section(Record):
 
 
 def _render(sections: list[_Section], fmt: str) -> Iterator[str]:
-    """The report's lines, without line ends."""
+    """The report in pieces of one or more lines joined by newlines, with
+    no newline at the end of a piece."""
     if fmt == "machine":
         return chain.from_iterable(_machine_lines(s, i) for i, s in enumerate(sections))
     return chain.from_iterable(section.text for section in sections)
@@ -414,8 +415,8 @@ def _machine_lines(section: _Section, index: int) -> Iterator[str]:
     if index:  # one blank line between sections, like the input
         yield ""
     yield f"[{section.name}]"
-    for key, value in section.pairs:
-        yield f"{key} = {value}"
+    for item in section.pairs:
+        yield item if isinstance(item, str) else f"{item[0]} = {item[1]}"
 
 
 def _header(command: str, kind: str, *pairs: tuple[str, object]) -> _Section:
@@ -545,21 +546,16 @@ def _run_enumerate(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
         # Each format reads its own lazy pass over the rows.
         pairs = chain(
             [("count", count), ("generators", gens)],
-            (("structure", row) for row in _structure_rows(report)),
+            report.structures.lines("structure = "),
             [("certificate", cert)] if cert and not count else [],
         )
         text = chain(
             [f"Pin{_sign(report.kind)} structures ({count}) on generators {gens}:"],
-            ("  " + row for row in _structure_rows(report)),
+            report.structures.lines("  "),
             [] if count else [f"  none ({cert})"],
         )
         sections.append(_Section(f"structures.{report.kind}", pairs, text))
     return sections, 0 if all(report.exists for report in reports) else 1
-
-
-def _structure_rows(report: lf.DecisionReport) -> Iterator[str]:
-    # The set yields its rows in lexicographic order already.
-    return (",".join(v.translate(_DIGITS).decode()) for v in report.structures.values())
 
 
 def _run_oracle(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
@@ -716,8 +712,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        # One line at a time: a long enumerate report is never held whole.
-        sys.stdout.writelines(line + "\n" for line in _render(sections, args.fmt))
+        # A piece at a time: a long enumerate report is never held whole.
+        sys.stdout.writelines(piece + "\n" for piece in _render(sections, args.fmt))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader stopped early (``pinlef enumerate ... | head``).  Send

@@ -52,9 +52,38 @@ def _acted(q0: int, x: int, width: int, step: int) -> int:
     return q0 | int.from_bytes(fl.unpack_bits(x, width), "big") * step
 
 
+def _spread(packed: int, r: int) -> int:
+    """The ``_pack``ed values of r generators moved onto the digits of a
+    line's last 2r bytes, r digits each followed by a comma or the newline.
+    The digits '0'..'3' are 0x30..0x33, so XOR with a value 0..3 writes
+    that digit, and XOR with a spread writes a structure's values."""
+    body = bytearray(2 * r)
+    body[::2] = packed.to_bytes(r, "big")
+    return int.from_bytes(body, "big")
+
+
 def _enhancement(kind: str, s: sf.SurfaceModel, packed: int):
     """The enhancement of ``kind`` on s whose values ``_pack`` to packed."""
     return _KINDS[kind][0](s, tuple(packed.to_bytes(s.z2_rank, "big")))
+
+
+# The most bytes in one piece of StructureSet.lines, unless one line is longer.
+_PIECE = 1 << 14
+
+
+def _walk(first: int, rows) -> Iterator[int]:
+    """first XOR each combination of rows, in index order: item i picks the
+    rows set in i, the first row being the most significant bit."""
+    yield first
+    # From i - 1 to i the low t + 1 bits flip, t being the number of
+    # trailing zeros of i; steps[t] is the XOR of their rows.
+    steps, acc = [], 0
+    for row in reversed(rows):
+        acc ^= row
+        steps.append(acc)
+    for i in range(1, 1 << len(rows)):
+        first ^= steps[(i & -i).bit_length() - 1]
+        yield first
 
 
 class StructureSet(Record):
@@ -133,20 +162,36 @@ class StructureSet(Record):
         r = self.surface.z2_rank
         return (p.to_bytes(r, "big") for p in self._packed())
 
-    def _packed(self) -> Iterator[int]:
+    def lines(self, prefix: str) -> Iterator[str]:
+        """Each structure as a text line, ``prefix`` then its values joined
+        by commas, in iteration order and without building the enhancements.
+
+        Yields pieces of whole lines joined by newlines, with no newline
+        at the end; a piece is at most ``_PIECE`` bytes unless it is one
+        line.  Nothing is built until the first piece is read.
+        """
         if self.first is None:
             return
-        packed = self.first
-        yield packed
-        # From i - 1 to i the low t + 1 bits flip, t being the number of
-        # trailing zeros of i; steps[t] is the XOR of their kernel rows.
-        steps, acc = [], 0
-        for row in reversed(self.kernel):
-            acc ^= row
-            steps.append(acc)
-        for i in range(1, self.count):
-            packed ^= steps[(i & -i).bit_length() - 1]
-            yield packed
+        r = self.surface.z2_rank
+        template = (prefix + ",".join("0" * r) + "\n").encode()
+        width, d = len(template), len(self.kernel)
+        m = max(0, min(d, (_PIECE // width).bit_length() - 1))
+        # A block of 2**m lines, doubled once per low kernel row; ``repeat``
+        # puts one line's value on every line of the block.
+        block = int.from_bytes(template, "big") ^ _spread(self.first, r)
+        n = repeat = 1
+        for row in reversed(self.kernel[d - m :]):
+            shift = 8 * width * n
+            block = (block << shift) | (block ^ _spread(row, r) * repeat)
+            repeat |= repeat << shift
+            n *= 2
+        # The walk over the other rows XORs each onto every line at once.
+        high = [_spread(row, r) * repeat for row in self.kernel[: d - m]]
+        for b in _walk(block, high):
+            yield b.to_bytes(width * n, "big").decode()[:-1]
+
+    def _packed(self) -> Iterator[int]:
+        return iter(()) if self.first is None else _walk(self.first, self.kernel)
 
     def _structure(self, packed: int) -> sf.EnhancementMinus | sf.EnhancementPlus:
         return _enhancement(self.kind, self.surface, packed)
@@ -216,9 +261,13 @@ class ConstraintSystem(Record):
         target = sf.as_integer(target, "target")
         if not 0 <= target < 2 * _KINDS[kind][0].step:
             raise InputError(f"target {target} is not a {kind} enhancement value")
+        classes = tuple(classes)
+        for n, c in enumerate(classes, start=1):
+            if not isinstance(c, sf.HomologyClass):
+                raise InputError(f"class {n} must be a Z4 class")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "classes", tuple(classes))
+        object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "target", target)
 
     def decide(self, certify: Callable[[int, list[int]], tuple]) -> DecisionReport:

@@ -540,6 +540,23 @@ def test_main_streams_surface_info_report(tmp_path, fmt):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_main_streams_the_largest_enumerate_listing(tmp_path, fmt):
+    # The product over genus 10 has 2**20 Pin- structures, the most that
+    # enumerate lists: about 42 MiB of report, written a block at a time.
+    doc = tmp_path / "genus10.pinlef"
+    doc.write_text("[surface]\nkind = orientable\ngenus = 10\nboundary = 1\n")
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            status = cli.main(["enumerate", str(doc), "--kind", "minus", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert status == 0
+    assert peak < 1 << 20
+
+
 def test_console_main_stops_quietly_when_the_reader_does(tmp_path):
     # As in `pinlef enumerate product.pinlef | head -1`: about 4 MiB of report
     # meets a reader that closes the pipe after one line.

@@ -157,6 +157,43 @@ def test_structure_set_order_indexing_and_membership(seed):
             assert (q in s) == (q in accepted)
 
 
+def _listed_sets():
+    """Structure sets of both kinds: every small seeded system, an empty
+    set, dim 0, z2 rank 0, and rank 14 with dims 8, 9 and 12 to 14."""
+    sets = [report.structures for report, _, _ in _small_systems(5)]
+    sets.append(lf.decide_pin_minus(_fibration(MOEBIUS, (2,))).structures)
+    sets.append(lf.decide_pin_minus(_fibration(TORUS, (1, 0), (0, 1))).structures)
+    rank14 = P.orientable_surface(7, 1)
+    cycles = [[0] * 14 for _ in range(6)]
+    for i, row in enumerate(cycles):
+        row[2 * i] = 1
+    for surface, rows in [(P.orientable_surface(0, 1), []), (rank14, [])] + [
+        (rank14, cycles[:n]) for n in (1, 2, 5, 6)
+    ]:
+        f = _fibration(surface, *rows)
+        sets += [lf.decide_pin_minus(f).structures, lf.decide_pin_plus(f).structures]
+    return sets
+
+
+def test_structure_set_lines_match_a_naive_rendering():
+    sets = _listed_sets()
+    assert {s.count for s in sets} >= {0, 1, 2**8, 2**9, 2**12, 2**13, 2**14}
+    assert {s.kind for s in sets} == {"minus", "plus"}
+    assert any(s.count == 1 and s.surface.z2_rank == 0 for s in sets)
+    for s in sets:
+        # A prefix past 16 KiB makes every piece a single line.
+        long = ["#" * (1 << 14)] if s.count <= 16 else []
+        for p in ["", "  ", "structure = ", *long]:
+            pieces = list(s.lines(p))
+            naive = (p + ",".join(str(b) for b in v) for v in s.values())
+            assert "\n".join(pieces) == "\n".join(naive)
+            for piece in pieces:
+                assert not piece.endswith("\n")
+                assert len(piece) <= 1 << 14 or "\n" not in piece
+            if len(p) > 1 << 14:
+                assert len(pieces) == s.count
+
+
 def test_structure_set_rejects_other_kinds_and_surfaces():
     minus = lf.decide_pin_minus(_fibration(TORUS)).structures
     plus = lf.decide_pin_plus(_fibration(TORUS)).structures
@@ -269,6 +306,16 @@ def test_target_out_of_range_is_refused_at_construction(kind, target):
     with pytest.raises(InputError) as err:
         ConstraintSystem(kind, TORUS_1, (P.z4_class([1, 0]),), target)
     assert str(err.value) == f"target {target} is not a {kind} enhancement value"
+
+
+@pytest.mark.parametrize("kind, target", [("minus", 2), ("plus", 1)])
+def test_entries_that_are_not_classes_are_refused_at_construction(kind, target):
+    # Z2 classes pass: the evaluators word their errors.
+    surface = P.non_orientable_surface(2)
+    for classes, n in [(((1, 1),), 1), ((P.z4_class([1, 1]), [1, 1]), 2)]:
+        with pytest.raises(InputError) as err:
+            ConstraintSystem(kind, surface, classes, target)
+        assert str(err.value) == f"class {n} must be a Z4 class"
 
 
 def test_target_that_is_not_an_integer_is_refused():

@@ -69,6 +69,8 @@ _SECTION_RE = re.compile(r"^\[([a-z-]+)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z0-9_-]+)\s*=\s*(.*)$")
 # int() also takes "+1", "1_0" and non-ASCII digits; documents may not.
 _INT_RE = re.compile(r"-?[0-9]+")
+# A residue row: such integers, each with optional spaces, between commas.
+_ROW_RE = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*")
 _ORACLE_RANK_LIMIT = 20
 # enumerate prints one line per structure; beyond this many it refuses.
 _ENUMERATE_LIMIT = 1 << 20
@@ -109,10 +111,13 @@ def _parse_int(text: str, line: int, what: str) -> int:
 
 
 def _parse_row(text: str, line: int) -> list[int]:
-    try:
-        return [_ascii_int(part.strip()) for part in text.split(",")]
-    except ValueError:
-        raise ParseError(line, f"malformed residue row {text!r}") from None
+    if _ROW_RE.fullmatch(text):
+        # strip(), unlike int(), takes \x1c-\x1f, which \s also matches.
+        try:
+            return list(map(int, map(str.strip, text.split(","))))
+        except ValueError:
+            pass
+    raise ParseError(line, f"malformed residue row {text!r}")
 
 
 def _lines(text: str) -> list[str]:

@@ -23,19 +23,20 @@ if TYPE_CHECKING:
     from .lefschetz import ObstructionWitness
 
 
-# Each kind's enhancement class, base enhancement and value on a Z4 class.
-# The lambdas look ``sf`` up when called, so that a wrapper set on the
-# module, as bench/spans.py sets one, sees these calls too.
+# Each kind's enhancement class, base enhancement and value on a Z4 class,
+# evaluate(q, c, presentation), read off c's planes (minus: its mod-2 one).
+# The base lambdas look ``sf`` up when called, so that a wrapper set on the
+# module, as bench/spans.py sets one on public functions, sees them too.
 _KINDS = {
     "minus": (
         sf.EnhancementMinus,
         lambda s: sf.base_enhancement_minus(s),
-        lambda q, c: sf.eval_qminus(q, sf.z2_reduction(c)),
+        sf._minus_value,
     ),
     "plus": (
         sf.EnhancementPlus,
         lambda s: sf.base_enhancement_plus(s),
-        lambda q, c: sf.eval_qplus(q, c),
+        sf._plus_value,
     ),
 }
 
@@ -230,9 +231,7 @@ class DecisionReport(Record):
 
 def z2_rows(surface: sf.SurfaceModel, classes) -> fl.BitRows:
     """Mod-2 reductions of the classes, one packed row per class."""
-    return fl.BitRows(
-        tuple([fl.pack_bits(c.coords) for c in classes]), surface.z2_rank
-    )
+    return fl.BitRows(tuple([c._bits for c in classes]), surface.z2_rank)
 
 
 def rank_mismatch(reason: str) -> Callable[[int, list[int]], tuple]:
@@ -283,14 +282,14 @@ class ConstraintSystem(Record):
         if self.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
             raise InvariantViolation(sf.NOT_WELL_DEFINED)
         _, base, evaluate = _KINDS[self.kind]
-        q0 = base(s)
+        q0, pres = base(s), sf.homology_presentation(s)
         # Evaluate every class first: an evaluator's error outranks a parity one.
-        values = [evaluate(q0, c) for c in self.classes]
+        values = [evaluate(q0, c, pres) for c in self.classes]
         step, rhs = q0.step, []
         for n, (c, value) in enumerate(zip(self.classes, values), start=1):
             gap, odd = divmod(self.target - value, step)
             if odd:  # q(c) = q0(c) mod step for every q
-                txt = sf.format_class(sf.homology_presentation(s), c.coords)
+                txt = sf.format_class(pres, c.coords)
                 raise InputError(
                     f"no {self.kind} enhancement takes the value {self.target} "
                     f"on class {n} ({txt})"
@@ -334,10 +333,10 @@ class ConstraintSystem(Record):
         if self.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
             return []
         _, base, evaluate = _KINDS[self.kind]
-        q0, tests, error = base(s), [], None
+        q0, pres, tests, error = base(s), sf.homology_presentation(s), [], None
         for c in self.classes:
             try:
-                value = evaluate(q0, c)
+                value = evaluate(q0, c, pres)
             except InputError as exc:
                 # Raised only if a candidate meets every earlier class: a
                 # class that no candidate reaches is never evaluated.
@@ -346,7 +345,7 @@ class ConstraintSystem(Record):
             gap, odd = divmod(self.target - value, q0.step)
             if odd:  # no candidate meets c, so none reaches a later class
                 return []
-            tests.append((fl.pack_bits(c.coords), gap % 2))
+            tests.append((c._bits, gap % 2))
         r, hits = s.z2_rank, []
         for t in range(1 << r):
             for mask, parity in tests:

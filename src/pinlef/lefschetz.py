@@ -57,7 +57,7 @@ class LefschetzFibration(Record):
                     f"cycle {n} has {len(c.coords)} coordinates, "
                     f"expected {pres.z2_rank}"
                 )
-            if sf.self_intersection_mod2(pres, c.coords) != 0:
+            if sf._self_parity(pres, c._bits):
                 raise InvariantViolation(
                     f"cycle {n} ({sf.format_class(pres, c.coords)}) has odd "
                     "self-intersection; vanishing cycles are two-sided"
@@ -115,7 +115,7 @@ def fibration_h1_annihilator(f: LefschetzFibration) -> list[fl.VecGF2]:
 def _witness_from_combination(f: LefschetzFibration, support) -> ObstructionWitness:
     pres = sf.homology_presentation(f.fiber)
     lead, summands = support[0], tuple(support[1:])
-    pair = sf.pairwise_parity_mod2(pres, [f.cycles[i].coords for i in summands])
+    pair = sf._pairwise_parity(pres, [f.cycles[i]._bits for i in summands])
     return ObstructionWitness(lead, summands, pair)
 
 

@@ -16,8 +16,8 @@ First homology with Z4 coefficients is presented as the free Z4 module on
 the same generators modulo explicit relation rows; the only nontrivial
 case is a closed non-orientable surface, where twice the sum of the
 crosscap generators dies.  Each form is fixed by the surface type, so
-pairings and enhancements are evaluated by popcounts of coordinates
-packed one bit per generator (``fl.pack_bits``).
+pairings and enhancements are evaluated by popcounts of the bit planes
+(``fl.pack_bits``, ``fl.high_bits``) each class and enhancement builds once.
 
 Two kinds of quadratic enhancement refine the intersection pairing:
 
@@ -229,13 +229,15 @@ class HomologyClass(Record):
 
     Z4 classes are representatives: on surfaces with relation rows two
     coordinate vectors name the same class when their difference lies in
-    the relation row module (see :func:`z4_classes_equal`).
+    the relation row module (see :func:`z4_classes_equal`).  ``_bits``, the
+    mod-2 reduction, and ``_high`` are the coordinates' two planes.
     """
 
     def __init__(self, ring: str, coords: tuple[int, ...]) -> None:
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coords", _integers(coords, "coordinate"))
+        object.__setattr__(self, "coords", c := _integers(coords, "coordinate"))
         self.__post_init__()
+        vars(self).update(_bits=fl.pack_bits(c), _high=fl.high_bits(c))
 
     def __post_init__(self):
         if self.ring not in ("Z2", "Z4"):
@@ -294,9 +296,13 @@ def pairing_mod2(pres: HomologyPresentation, u, v) -> int:
 
 
 def self_intersection_mod2(pres: HomologyPresentation, coords) -> int:
-    """Mod-2 self-intersection of a class given by (Z2 or Z4) coordinates:
-    a handle's two cross terms cancel, so only one-sided generators count."""
-    return (fl.pack_bits(coords) & pres.one_sided).bit_count() & 1
+    """Mod-2 self-intersection of a class given by (Z2 or Z4) coordinates."""
+    return _self_parity(pres, fl.pack_bits(coords))
+
+
+def _self_parity(pres: HomologyPresentation, bits: int) -> int:
+    """Mod-2 self-intersection of a packed row: only one-sided bits count."""
+    return (bits & pres.one_sided).bit_count() & 1
 
 
 def pairwise_parity_mod2(pres: HomologyPresentation, vectors) -> int:
@@ -305,9 +311,13 @@ def pairwise_parity_mod2(pres: HomologyPresentation, vectors) -> int:
     The pairing is bilinear, so the sum over pairs i < j equals the sum over
     j of the pairing of u_j with the running sum u_1 + ... + u_{j-1}.
     """
+    return _pairwise_parity(pres, map(fl.pack_bits, vectors))
+
+
+def _pairwise_parity(pres: HomologyPresentation, rows) -> int:
+    """:func:`pairwise_parity_mod2` of packed rows."""
     prefix = terms = 0
-    for v in vectors:
-        u = fl.pack_bits(v)
+    for u in rows:
         terms ^= _pairing_terms(pres, prefix, u)
         prefix ^= u
     return terms.bit_count() & 1
@@ -350,14 +360,16 @@ def format_class(pres: HomologyPresentation, coords) -> str:
 class _Enhancement(Record):
     """An enhancement stored by its values on the generators, each a
     residue mod 2 * step.  q(e) = e.e mod step on every generator, which
-    is validated here; for plus (step 1) it always holds."""
+    is validated here; for plus (step 1) it always holds.  ``_bits`` and
+    ``_high`` are the values' two planes, as a class has its coordinates'."""
 
     step: int
 
     def __init__(self, surface: SurfaceModel, values: tuple[int, ...]) -> None:
         object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "values", _integers(values, "value"))
+        object.__setattr__(self, "values", v := _integers(values, "value"))
         self.__post_init__()
+        vars(self).update(_bits=fl.pack_bits(v), _high=fl.high_bits(v))
 
     def __post_init__(self):
         pres = homology_presentation(self.surface)
@@ -423,11 +435,15 @@ def eval_qminus(q: EnhancementMinus, x: HomologyClass) -> int:
     """
     if x.ring != "Z2":
         raise InputError("eval_qminus takes a Z2 class")
-    pres = homology_presentation(q.surface)
+    return _minus_value(q, x, homology_presentation(q.surface))
+
+
+def _minus_value(q, x: HomologyClass, pres: HomologyPresentation) -> int:
+    """:func:`eval_qminus` on the mod-2 plane of x, a Z2 or Z4 class."""
     if len(x.coords) != pres.z2_rank:
         raise InputError("class length does not match the surface's generators")
-    bits = fl.pack_bits(x.coords)
-    twos = (bits & fl.high_bits(q.values)).bit_count()
+    bits = x._bits
+    twos = (bits & q._high).bit_count()
     twos += (bits & (bits << 1) & pres.handle_first).bit_count()
     return ((bits & pres.one_sided).bit_count() + 2 * twos) % 4
 
@@ -442,15 +458,20 @@ def eval_qplus(q: EnhancementPlus, x: HomologyClass) -> int:
         InvariantViolation: the surface has no Pin+ structure, so q is 1 on
             the relation row (2, ..., 2) and depends on the representative.
     """
-    if x.ring != "Z4":
-        raise InputError("eval_qplus takes a Z4 class")
-    pres = homology_presentation(q.surface)
-    if len(x.coords) != pres.z2_rank:
-        raise InputError("class length does not match the surface's generators")
+    value = _plus_value(q, x, homology_presentation(q.surface))
     if pin_plus_obstruction(q.surface) is not None:
         raise InvariantViolation(NOT_WELL_DEFINED)
-    bits = fl.pack_bits(x.coords)
-    terms = (bits & fl.pack_bits(q.values)) ^ (fl.high_bits(x.coords) & pres.one_sided)
+    return value
+
+
+def _plus_value(q, x: HomologyClass, pres: HomologyPresentation) -> int:
+    """:func:`eval_qplus` without checking the surface's Pin+ structure."""
+    if x.ring != "Z4":
+        raise InputError("eval_qplus takes a Z4 class")
+    if len(x.coords) != pres.z2_rank:
+        raise InputError("class length does not match the surface's generators")
+    bits = x._bits
+    terms = (bits & q._bits) ^ (x._high & pres.one_sided)
     terms ^= bits & (bits << 1) & pres.handle_first
     return terms.bit_count() & 1
 

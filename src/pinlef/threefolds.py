@@ -67,7 +67,7 @@ class HandlebodyDecomposition3(Record):
                         f"{label} class {n} has {len(c.coords)} coordinates, "
                         f"expected {pres.z2_rank}"
                     )
-                if sf.self_intersection_mod2(pres, c.coords) != 0:
+                if sf._self_parity(pres, c._bits):
                     raise InvariantViolation(
                         f"{label} class {n} has odd self-intersection; "
                         "curves bounding disks are two-sided"
@@ -98,8 +98,8 @@ def decide_pin_plus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:
     augmentation agree.  On success every solution is returned as a plus
     enhancement vanishing on all listed classes.
     """
-    # 2g crosscaps is even, so the boundary always carries Pin+ and
-    # eval_qplus never refuses the base enhancement here.
+    # 2g crosscaps is even, so the boundary always carries Pin+ and the
+    # plus system never refuses it here.
     system = ConstraintSystem("plus", d.boundary, d.listed_classes(), 0)
     reason = "no enhancement vanishes on all attaching and belt classes"
     return system.decide(rank_mismatch(reason))

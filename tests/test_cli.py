@@ -508,8 +508,8 @@ def test_enumerate_refuses_too_many_structures(capsys, tmp_path, args):
 
 
 def test_main_streams_enumerate_report(tmp_path):
-    # 2**14 structures of each kind make about 1 MiB of report; written a
-    # line at a time, it never needs that much memory.
+    # 2**14 structures of each kind make about 1 MiB of report; written in
+    # pieces of at most 16 KiB of lines, it never needs that much memory.
     doc = tmp_path / "product.pinlef"
     doc.write_text("[surface]\nkind = orientable\ngenus = 7\nboundary = 1\n")
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -696,6 +696,16 @@ def test_main_survives_arbitrary_input(data, command, fmt):
     assert (status == 2) == err.getvalue().startswith("error: ")
 
 
+def _cycle_row(row: str) -> str:
+    """SPHERE_TEXT with ``row`` as the first cycle, on line 7."""
+    return SPHERE_TEXT.replace("[cycles]\n", f"[cycles]\n{row}\n")
+
+
+def _belt_row(row: str) -> str:
+    """THREEFOLD_TEXT with ``row`` as the belt row, on line 9."""
+    return THREEFOLD_TEXT.replace("belt = 0,0", f"belt = {row}")
+
+
 @pytest.mark.parametrize(
     "text, line, reason",
     [
@@ -722,8 +732,29 @@ def test_main_survives_arbitrary_input(data, command, fmt):
             "attaching class 1 has odd self-intersection; "
             "curves bounding disks are two-sided",
         ),
+        (_cycle_row("1,,2"), 7, "malformed residue row '1,,2'"),
+        (_cycle_row("+1,0"), 7, "malformed residue row '+1,0'"),
+        (_belt_row("1_0,0"), 9, "malformed residue row '1_0,0'"),
+        (_cycle_row("\u0663,0"), 7, "malformed residue row '\u0663,0'"),
+        (_belt_row("1,0,"), 9, "malformed residue row '1,0,'"),
+        (_cycle_row("1 2"), 7, "malformed residue row '1 2'"),
+        (_cycle_row("-1,0"), 7, "residue -1 out of range 0..3"),
     ],
-    ids=["cycles-key", "kind", "embedded-bit", "no-genus", "genus-0", "one-sided"],
+    ids=[
+        "cycles-key",
+        "kind",
+        "embedded-bit",
+        "no-genus",
+        "genus-0",
+        "one-sided",
+        "empty-entry",
+        "plus-sign",
+        "underscore",
+        "arabic-indic-digit",
+        "trailing-comma",
+        "no-comma",
+        "negative",
+    ],
 )
 def test_parse_error_lines_and_reasons(text, line, reason):
     with pytest.raises(ParseError) as err:

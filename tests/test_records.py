@@ -18,6 +18,7 @@ import pinlef as P
 from pinlef import cli
 from pinlef import constraints as cs
 from pinlef import finite_linalg as fl
+from pinlef import surfaces as sf
 
 TORUS = P.orientable_surface(1, 1)
 MOEBIUS = P.non_orientable_surface(1, 1)
@@ -316,3 +317,87 @@ def test_class_entries_must_be_homology_classes(make, message):
     with pytest.raises(P.InputError) as err:
         make()
     assert str(err.value) == message
+
+
+_THREEFOLD_DOC = (
+    "[surface]\nkind = non-orientable\ncrosscaps = 2\n"
+    "[threefold]\ngenus = 1\nattach = 1,1\nbelt = 3,1\n"
+)
+
+# Each way a class is made, by the library or by a caller.
+CLASSES = {
+    "Z4": lambda: P.HomologyClass("Z4", (3, 0, 2, 1)),
+    "Z2": lambda: P.HomologyClass("Z2", (1, 0, 1)),
+    "empty": lambda: P.HomologyClass("Z4", ()),
+    "generator": lambda: P.HomologyClass("Z4", (a for a in (3, True, 2))),
+    "z2_class": lambda: P.z2_class((3, -1, 2, True)),
+    "z4_class": lambda: P.z4_class((7, -1, 2, 0)),
+    "z2_reduction": lambda: sf.z2_reduction(P.z4_class((3, 2, 1, 0))),
+    "parsed-cycle": lambda: cli.parse(_DOC + "[cycles]\n3, 2\n").cycles[0],
+    "parsed-belt": lambda: cli.parse(_THREEFOLD_DOC).threefold.belt_classes[0],
+}
+
+# Each way an enhancement is made; its values, each 0..3, make its planes.
+ENHANCEMENTS = {
+    "minus": lambda: P.EnhancementMinus(KLEIN, (1, 3)),
+    "plus": lambda: P.EnhancementPlus(KLEIN, (0, 1)),
+    "generator": lambda: P.EnhancementMinus(KLEIN, (v for v in (3, True))),
+    "base-minus": lambda: P.base_enhancement_minus(P.orientable_surface(2, 2)),
+    "base-plus": lambda: P.base_enhancement_plus(P.orientable_surface(2, 2)),
+    "acted-minus": lambda: P.act_h1(P.base_enhancement_minus(KLEIN), (1, 0)),
+    "acted-plus": lambda: P.act_h1(P.base_enhancement_plus(KLEIN), (0, 1)),
+    "structure": lambda: P.decide_pin_minus(_fibration((1, 0))).structures[1],
+    "enumerated": lambda: P.enumerate_enhancements(KLEIN, "plus")[3],
+}
+
+
+def _check_planes(record, entries) -> None:
+    """Check a record's stored planes against its entries, as made and
+    after a copy or a pickle round trip."""
+    for r in (record, copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert (r._bits, r._high) == (fl.pack_bits(entries), fl.high_bits(entries))
+
+
+@pytest.mark.parametrize("make", CLASSES.values(), ids=CLASSES)
+def test_class_planes_are_its_coordinates(make):
+    x = make()
+    _check_planes(x, x.coords)
+
+
+@pytest.mark.parametrize("make", ENHANCEMENTS.values(), ids=ENHANCEMENTS)
+def test_enhancement_planes_are_its_values(make):
+    q = make()
+    _check_planes(q, q.values)
+
+
+def test_evaluating_changes_no_record():
+    x = P.z4_class((1, 1))
+    records = (
+        x,
+        sf.z2_reduction(x),
+        P.base_enhancement_minus(KLEIN),
+        P.base_enhancement_plus(KLEIN),
+    )
+
+    def observed():
+        return [
+            (
+                repr(r),
+                hash(r),
+                pickle.dumps(r),
+                copy.copy(r) == r,
+                copy.deepcopy(r) == r,
+                pickle.loads(pickle.dumps(r)) == r,
+            )
+            for r in records
+        ]
+
+    before = observed()
+    assert P.eval_qminus(records[2], records[1]) == 2
+    assert P.eval_qplus(records[3], x) == 0
+    f = P.LefschetzFibration(KLEIN, (x,))
+    assert P.decide_pin_minus(f).structure_count == 2
+    assert P.decide_pin_plus(f).structure_count == 2
+    assert len(P.brute_force_pin_minus(f)) == len(P.brute_force_pin_plus(f)) == 2
+    assert observed() == before
+    assert records[0] == P.z4_class((1, 1)) and records[1] == P.z2_class((1, 1))

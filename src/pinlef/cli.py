@@ -360,31 +360,28 @@ def _mode(doc: InputDocument) -> str:
     return "fibration"
 
 
-def _fibration(doc: InputDocument) -> lf.LefschetzFibration:
-    return lf.LefschetzFibration(doc.surface, doc.cycles or ())
+def _subject(doc: InputDocument):
+    """The fibration or threefold the deciders read, built and checked once
+    per command."""
+    if doc.threefold is None:
+        return lf.LefschetzFibration(doc.surface, doc.cycles or ())
+    if doc.cycles is not None or doc.embedded_surfaces:
+        extra = "cycles" if doc.cycles is not None else "embedded-surface"
+        raise InputError(f"a threefold document takes no [{extra}] section")
+    return doc.threefold
 
 
-def _decide(doc: InputDocument, kind: str) -> lf.DecisionReport:
-    if doc.threefold is not None:
-        if doc.cycles is not None or doc.embedded_surfaces:
-            extra = "cycles" if doc.cycles is not None else "embedded-surface"
-            raise InputError(f"a threefold document takes no [{extra}] section")
-        if kind == "plus":
-            return tf.decide_pin_plus_3mfd(doc.threefold)
-        return tf.solve_pin_minus_3mfd(doc.threefold)
-    f = _fibration(doc)
-    return lf.decide_pin_plus(f) if kind == "plus" else lf.decide_pin_minus(f)
+def _decide(x, kind: str) -> lf.DecisionReport:
+    if isinstance(x, lf.LefschetzFibration):
+        return lf.decide_pin_plus(x) if kind == "plus" else lf.decide_pin_minus(x)
+    return tf.decide_pin_plus_3mfd(x) if kind == "plus" else tf.solve_pin_minus_3mfd(x)
 
 
-def _brute(doc: InputDocument, kind: str) -> list:
-    if doc.threefold is not None:
-        if kind == "plus":
-            return tf.brute_force_pin_plus_3mfd(doc.threefold)
-        return tf.brute_force_pin_minus_3mfd(doc.threefold)
-    f = _fibration(doc)
-    if kind == "plus":
-        return lf.brute_force_pin_plus(f)
-    return lf.brute_force_pin_minus(f)
+def _brute(x, kind: str) -> list:
+    plus = kind == "plus"
+    if isinstance(x, lf.LefschetzFibration):
+        return lf.brute_force_pin_plus(x) if plus else lf.brute_force_pin_minus(x)
+    return tf.brute_force_pin_plus_3mfd(x) if plus else tf.brute_force_pin_minus_3mfd(x)
 
 
 def _yesno(flag: bool) -> str:
@@ -483,7 +480,8 @@ def _run_decide(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
         return sections + [section], status
     if mode == "threefold":
         sections.append(_threefold_section(doc.threefold))
-    reports = [_decide(doc, k) for k in kinds]
+    x = _subject(doc)
+    reports = [_decide(x, k) for k in kinds]
     sections += map(_verdict_section, reports)
     ok = all(report.exists for report in reports)
     if mode == "sphere":
@@ -537,7 +535,8 @@ def _target(doc: InputDocument, command: str) -> sf.SurfaceModel:
 
 def _run_enumerate(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
     target = _target(doc, "enumerate")
-    reports = [_decide(doc, k) for k in _KINDS[kind]]
+    x = _subject(doc)
+    reports = [_decide(x, k) for k in _KINDS[kind]]
     for report in reports:
         if report.structure_count > _ENUMERATE_LIMIT:
             raise InputError(
@@ -567,12 +566,12 @@ def _run_oracle(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
     rank = sf.homology_presentation(_target(doc, "oracle")).z2_rank
     if rank > _ORACLE_RANK_LIMIT:
         raise InputError(f"oracle refused: z2 rank {rank} exceeds {_ORACLE_RANK_LIMIT}")
+    x = _subject(doc)
     pairs: list[tuple[str, object]] = []
     text = []
     agree_all = True
     for k in _KINDS[kind]:
-        report = _decide(doc, k)
-        brute = _brute(doc, k)
+        report, brute = _decide(x, k), _brute(x, k)
         decided, exhaustive = report.structure_count, len(brute)
         # Equal counts and one inclusion make the two sets equal.
         agree = decided == exhaustive and all(q in report.structures for q in brute)

@@ -41,33 +41,6 @@ _KINDS = {
 }
 
 
-def _pack(values) -> int:
-    """Generator values (each 0..3) as one int, a byte per generator, the
-    first generator most significant: int order is lexicographic order."""
-    return int.from_bytes(bytes(values), "big")
-
-
-def _acted(q0: int, x: int, width: int, step: int) -> int:
-    """The ``_pack``ed q0 acted on by the bit row x as by :func:`sf.act_h1`:
-    step is added where x has a bit; q0's values are below step."""
-    return q0 | int.from_bytes(fl.unpack_bits(x, width), "big") * step
-
-
-def _spread(packed: int, r: int) -> int:
-    """The ``_pack``ed values of r generators moved onto the digits of a
-    line's last 2r bytes, r digits each followed by a comma or the newline.
-    The digits '0'..'3' are 0x30..0x33, so XOR with a value 0..3 writes
-    that digit, and XOR with a spread writes a structure's values."""
-    body = bytearray(2 * r)
-    body[::2] = packed.to_bytes(r, "big")
-    return int.from_bytes(body, "big")
-
-
-def _enhancement(kind: str, s: sf.SurfaceModel, packed: int):
-    """The enhancement of ``kind`` on s whose values ``_pack`` to packed."""
-    return _KINDS[kind][0](s, tuple(packed.to_bytes(s.z2_rank, "big")))
-
-
 # The most bytes in one piece of StructureSet.lines, unless one line is longer.
 _PIECE = 1 << 14
 
@@ -87,17 +60,45 @@ def _walk(first: int, rows) -> Iterator[int]:
         yield first
 
 
+def _spread(kind: str, s: sf.SurfaceModel, first: int, rows, gap: int = 1):
+    """The values of the structure of ``kind`` on s that the bit row first
+    names, and the values each bit row in rows adds (step at its bits), as
+    ints of a byte per generator followed by gap - 1 zero bytes, the first
+    generator most significant.  The base values (the diagonal for minus,
+    0 for plus) are below step, so XOR with an added row moves from one
+    structure's values to another's."""
+    r, step = s.z2_rank, _KINDS[kind][0].step
+
+    def spread(x: int) -> int:
+        body = bytearray(gap * r)
+        body[::gap] = fl.unpack_bits(x, r)
+        return int.from_bytes(body, "big")
+
+    base = sf.homology_presentation(s).one_sided if step == 2 else 0
+    return spread(base) | spread(first) * step, [spread(x) * step for x in rows]
+
+
+def _structures(kind: str, s: sf.SurfaceModel, rows) -> list:
+    """The structure each bit row in rows names, built."""
+    base, added = _spread(kind, s, 0, rows)
+    cls, r = _KINDS[kind][0], s.z2_rank
+    return [cls(s, tuple((base ^ v).to_bytes(r, "big"))) for v in added]
+
+
 class StructureSet(Record):
     """The solutions of a system, described without listing them.
 
-    Values are packed by ``_pack``.  ``first`` is the smallest structure
-    (None when there is none) and ``kernel`` the differences that span the
-    rest, in RREF order: each has its leading bit at a position where
-    ``first`` and every other kernel row are zero.  Structure i is
-    ``first`` XOR the kernel rows picked by the bits of i, the first row
-    being the most significant bit, so index order is lexicographic order
-    of the values.  The set holds one int per kernel dimension; it builds
-    enhancements only when indexed or iterated.
+    ``first`` and ``kernel`` are the particular solution and the kernel
+    basis :func:`fl.eliminate_bits` returns, bit rows over the generators:
+    bit j moves generator j's base value by the kind's ``step``, as
+    :func:`sf.act_h1` does.  ``first`` is the smallest structure's row
+    (None when there is none) and the kernel rows, in RREF order, each
+    have their leading bit at a position where ``first`` and every other
+    kernel row are zero.  Structure i is ``first`` XOR the kernel rows
+    picked by the bits of i, the first row being the most significant bit,
+    so index order is lexicographic order of the values.  The set holds
+    one int per kernel dimension; it builds enhancements only when indexed
+    or iterated.
     """
 
     def __init__(
@@ -134,12 +135,11 @@ class StructureSet(Record):
             i += n
         if not 0 <= i < n:
             raise IndexError("structure index out of range")
-        packed = self.first
-        top = len(self.kernel) - 1
-        for j, row in enumerate(self.kernel):
-            if i >> (top - j) & 1:
-                packed ^= row
-        return self._structure(packed)
+        x = self.first
+        for j, row in enumerate(reversed(self.kernel)):
+            if i >> j & 1:
+                x ^= row
+        return _structures(self.kind, self.surface, [x])[0]
 
     def __contains__(self, q) -> bool:
         if (
@@ -148,20 +148,25 @@ class StructureSet(Record):
             or q.surface != self.surface
         ):
             return False
-        rest = _pack(q.values) ^ self.first
+        # Base values are below step, so q's row is its high (minus) or low plane.
+        rest = (q._high if self.kind == "minus" else q._bits) ^ self.first
         for row in self.kernel:
             if rest >> (row.bit_length() - 1) & 1:
                 rest ^= row
         return rest == 0
 
     def __iter__(self) -> Iterator[sf.EnhancementMinus | sf.EnhancementPlus]:
-        return map(self._structure, self._packed())
+        cls = _KINDS[self.kind][0]
+        return (cls(self.surface, tuple(v)) for v in self.values())
 
     def values(self) -> Iterator[bytes]:
         """Each structure's generator values as a bytes row, one byte per
         generator, in iteration order, without building the enhancements."""
+        if self.first is None:
+            return iter(())
+        first, rows = _spread(self.kind, self.surface, self.first, self.kernel)
         r = self.surface.z2_rank
-        return (p.to_bytes(r, "big") for p in self._packed())
+        return (v.to_bytes(r, "big") for v in _walk(first, rows))
 
     def lines(self, prefix: str) -> Iterator[str]:
         """Each structure as a text line, ``prefix`` then its values joined
@@ -173,29 +178,25 @@ class StructureSet(Record):
         """
         if self.first is None:
             return
-        r = self.surface.z2_rank
-        template = (prefix + ",".join("0" * r) + "\n").encode()
-        width, d = len(template), len(self.kernel)
+        template = (prefix + ",".join("0" * self.surface.z2_rank) + "\n").encode()
+        # A value lands on a digit of a line's last 2r bytes, the rest being
+        # commas and the newline; XOR with 0..3 turns a '0' into that digit.
+        first, rows = _spread(self.kind, self.surface, self.first, self.kernel, 2)
+        width, d = len(template), len(rows)
         m = max(0, min(d, (_PIECE // width).bit_length() - 1))
         # A block of 2**m lines, doubled once per low kernel row; ``repeat``
         # puts one line's value on every line of the block.
-        block = int.from_bytes(template, "big") ^ _spread(self.first, r)
+        block = int.from_bytes(template, "big") ^ first
         n = repeat = 1
-        for row in reversed(self.kernel[d - m :]):
+        for row in reversed(rows[d - m :]):
             shift = 8 * width * n
-            block = (block << shift) | (block ^ _spread(row, r) * repeat)
+            block = (block << shift) | (block ^ row * repeat)
             repeat |= repeat << shift
             n *= 2
         # The walk over the other rows XORs each onto every line at once.
-        high = [_spread(row, r) * repeat for row in self.kernel[: d - m]]
+        high = [row * repeat for row in rows[: d - m]]
         for b in _walk(block, high):
             yield b.to_bytes(width * n, "big").decode()[:-1]
-
-    def _packed(self) -> Iterator[int]:
-        return iter(()) if self.first is None else _walk(self.first, self.kernel)
-
-    def _structure(self, packed: int) -> sf.EnhancementMinus | sf.EnhancementPlus:
-        return _enhancement(self.kind, self.surface, packed)
 
 
 class DecisionReport(Record):
@@ -304,9 +305,7 @@ class ConstraintSystem(Record):
             return DecisionReport(
                 self.kind, False, 0, self._none(), dim, certificate, witness
             )
-        first = _acted(_pack(q0.values), particular, r, step)
-        kernel = tuple([_acted(0, k, r, step) for k in kernel])
-        structures = StructureSet(self.kind, s, first, kernel)
+        structures = StructureSet(self.kind, s, particular, kernel)
         return DecisionReport(self.kind, True, structures.count, structures, dim)
 
     def refuse(self, certificate: str) -> DecisionReport:
@@ -355,5 +354,4 @@ class ConstraintSystem(Record):
                 hits.append(t)
         if hits and error is not None:
             raise error
-        packed, step = _pack(q0.values), q0.step
-        return [_enhancement(self.kind, s, _acted(packed, t, r, step)) for t in hits]
+        return _structures(self.kind, s, hits)

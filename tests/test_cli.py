@@ -386,6 +386,24 @@ def test_sphere_mode_decides_each_kind_once(monkeypatch, kind, eliminations):
     assert counts == [eliminations, eliminations]
 
 
+@pytest.mark.parametrize("command", ["decide", "enumerate", "oracle"])
+@pytest.mark.parametrize("text", [RP4_TEXT, SPHERE_TEXT], ids=["rp4", "sphere"])
+def test_commands_validate_the_fibration_once(monkeypatch, command, text):
+    doc = cli.parse(text)
+    calls = []
+    original = P.LefschetzFibration.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(P.LefschetzFibration, "__post_init__", counted)
+    for kind in ("both", "minus"):
+        calls.clear()
+        cli.run(command, doc, kind)
+        assert len(calls) == 1
+
+
 def test_charclass_mode():
     doc = cli.parse(
         "[surface]\nkind = non-orientable\ncrosscaps = 1\nboundary = 1\n"

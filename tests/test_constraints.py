@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -155,6 +156,77 @@ def test_structure_set_order_indexing_and_membership(seed):
         assert set(listed) == accepted
         for q in sf.enumerate_enhancements(surface, report.kind):
             assert (q in s) == (q in accepted)
+
+
+def _small_system_inputs(seed):
+    """The systems of ``_small_systems(seed)``, drawn from the same random
+    stream, as (system, report) pairs."""
+    rng = random.Random(seed)
+    out = []
+    for surface in SMALL_FIBERS:
+        for _ in range(2):
+            f = _random_fibration(rng, surface)
+            minus = ConstraintSystem("minus", surface, f.cycles, 2)
+            plus = ConstraintSystem("plus", surface, f.cycles, 1)
+            out += [(minus, lf.decide_pin_minus(f)), (plus, lf.decide_pin_plus(f))]
+    for genus in (1, 2, 3, 4):
+        d = random_decomposition(rng, genus)
+        minus = ConstraintSystem("minus", d.boundary, d.listed_classes(), 0)
+        plus = ConstraintSystem("plus", d.boundary, d.listed_classes(), 0)
+        out += [(minus, tf.solve_pin_minus_3mfd(d)), (plus, tf.decide_pin_plus_3mfd(d))]
+    return out
+
+
+def _eliminated(system):
+    """``fl.eliminate_bits`` on the system, its rows and targets worked out
+    here from the classes' coordinates and the public evaluators."""
+    s, r = system.surface, system.surface.z2_rank
+    if system.kind == "minus":
+        q0, step = sf.base_enhancement_minus(s), 2
+        values = [sf.eval_qminus(q0, sf.z2_reduction(c)) for c in system.classes]
+    else:
+        q0, step = sf.base_enhancement_plus(s), 1
+        values = [sf.eval_qplus(q0, c) for c in system.classes]
+    rows = fl.BitRows(tuple(fl.pack_bits(c.coords) for c in system.classes), r)
+    rhs = [(system.target - v) // step % 2 for v in values]
+    return q0, fl.eliminate_bits(rows, rhs)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_structure_sets_hold_the_rows_eliminate_bits_returns(seed):
+    pairs = _small_system_inputs(seed)
+    assert [r for _, r in pairs] == [r for r, _, _ in _small_systems(seed)]
+    refused = 0
+    for system, report in pairs:
+        s, r = report.structures, system.surface.z2_rank
+        if system.kind == "plus" and sf.pin_plus_obstruction(system.surface):
+            assert (s.first, s.kernel) == (None, ())
+            refused += 1
+            continue
+        q0, (_, particular, kernel, _) = _eliminated(system)
+        assert (s.first, s.kernel) == (particular, kernel)
+        top = len(kernel) - 1
+        for i in range(s.count):
+            row = particular
+            for j, k in enumerate(kernel):
+                if i >> (top - j) & 1:
+                    row ^= k
+            assert s[i] == sf.act_h1(q0, fl.unpack_bits(row, r))
+    assert refused
+
+
+@pytest.mark.parametrize(
+    "decide, step", [(lf.decide_pin_minus, 2), (lf.decide_pin_plus, 1)]
+)
+def test_rank_4096_product_keeps_bit_rows(decide, step):
+    # The orientable fiber's base values are all 0, and every correction
+    # is free: the kernel is the identity, one 4096-bit row per generator.
+    s = decide(_fibration(P.orientable_surface(2048, 1))).structures
+    assert len(s.kernel) == 4096
+    assert sys.getsizeof(s.kernel) + sum(map(sys.getsizeof, s.kernel)) <= 2 << 20
+    assert s[0].values == (0,) * 4096
+    assert s[-1].values == (step,) * 4096
+    assert s[-1] in s
 
 
 def _listed_sets():

@@ -90,8 +90,8 @@ RECORDS = [
     (
         lambda: P.decide_pin_minus(_fibration((1, 0))),
         "DecisionReport(kind='minus', exists=True, structure_count=2, "
-        f"structures=StructureSet(kind='minus', surface={_TORUS_REPR}, first=512, "
-        "kernel=(2,)), h1_annihilator_dim=1, certificate=None, witness=None)",
+        f"structures=StructureSet(kind='minus', surface={_TORUS_REPR}, first=2, "
+        "kernel=(1,)), h1_annihilator_dim=1, certificate=None, witness=None)",
         lambda: P.decide_pin_plus(_fibration((1, 0))),
     ),
     (

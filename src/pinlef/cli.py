@@ -97,17 +97,16 @@ class InputDocument(Record):
 # ---------------------------------------------------------------------------
 
 
-def _ascii_int(text: str) -> int:
-    if not _INT_RE.fullmatch(text):
-        raise ValueError(text)
-    return int(text)
-
-
 def _parse_int(text: str, line: int, what: str) -> int:
+    if not _INT_RE.fullmatch(text):
+        raise ParseError(line, f"{what} must be an integer, got {text!r}")
     try:
-        return _ascii_int(text)
-    except ValueError:
-        raise ParseError(line, f"{what} must be an integer, got {text!r}") from None
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        digits = len(text.lstrip("-"))
+        raise ParseError(
+            line, f"{what} is out of range: {digits} digits, from {text[:12]!r}"
+        ) from None
 
 
 def _parse_row(text: str, line: int) -> list[int]:

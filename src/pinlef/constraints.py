@@ -23,21 +23,13 @@ if TYPE_CHECKING:
     from .lefschetz import ObstructionWitness
 
 
-# Each kind's enhancement class, base enhancement and value on a Z4 class,
-# evaluate(q, c, presentation), read off c's planes (minus: its mod-2 one).
-# The base lambdas look ``sf`` up when called, so that a wrapper set on the
-# module, as bench/spans.py sets one on public functions, sees them too.
+# Each kind's enhancement class and value on a Z4 class c, evaluate(plane,
+# c, presentation), read off c's planes (minus: its mod-2 one) and the one
+# plane of values a correction moves (minus: high, plus: parity); plane 0
+# is the base q0, e.e on each generator for minus and 0 for plus.
 _KINDS = {
-    "minus": (
-        sf.EnhancementMinus,
-        lambda s: sf.base_enhancement_minus(s),
-        sf._minus_value,
-    ),
-    "plus": (
-        sf.EnhancementPlus,
-        lambda s: sf.base_enhancement_plus(s),
-        sf._plus_value,
-    ),
+    "minus": (sf.EnhancementMinus, sf._minus_value),
+    "plus": (sf.EnhancementPlus, sf._plus_value),
 }
 
 
@@ -282,11 +274,11 @@ class ConstraintSystem(Record):
         s = self.surface
         if self.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
             raise InvariantViolation(sf.NOT_WELL_DEFINED)
-        _, base, evaluate = _KINDS[self.kind]
-        q0, pres = base(s), sf.homology_presentation(s)
+        cls, evaluate = _KINDS[self.kind]
+        pres = sf.homology_presentation(s)
         # Evaluate every class first: an evaluator's error outranks a parity one.
-        values = [evaluate(q0, c, pres) for c in self.classes]
-        step, rhs = q0.step, []
+        values = [evaluate(0, c, pres) for c in self.classes]
+        step, rhs = cls.step, []
         for n, (c, value) in enumerate(zip(self.classes, values), start=1):
             gap, odd = divmod(self.target - value, step)
             if odd:  # q(c) = q0(c) mod step for every q
@@ -331,17 +323,17 @@ class ConstraintSystem(Record):
         s = self.surface
         if self.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
             return []
-        _, base, evaluate = _KINDS[self.kind]
-        q0, pres, tests, error = base(s), sf.homology_presentation(s), [], None
+        cls, evaluate = _KINDS[self.kind]
+        pres, tests, error = sf.homology_presentation(s), [], None
         for c in self.classes:
             try:
-                value = evaluate(q0, c, pres)
+                value = evaluate(0, c, pres)
             except InputError as exc:
                 # Raised only if a candidate meets every earlier class: a
                 # class that no candidate reaches is never evaluated.
                 error = exc
                 break
-            gap, odd = divmod(self.target - value, q0.step)
+            gap, odd = divmod(self.target - value, cls.step)
             if odd:  # no candidate meets c, so none reaches a later class
                 return []
             tests.append((c._bits, gap % 2))

@@ -41,6 +41,9 @@ if TYPE_CHECKING:
 _PARITY_DIGITS = bytes.maketrans(bytes(range(256)), b"01" * 128)
 _HIGH_DIGITS = bytes.maketrans(bytes(range(256)), b"0011" * 64)
 _DIGIT_BITS = bytes.maketrans(b"01", bytes(range(2)))
+# Each byte to the byte of its bits in reverse order, nibble by nibble.
+_NIBBLES = (0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15)
+_REVERSED = bytes([_NIBBLES[b & 15] << 4 | _NIBBLES[b >> 4] for b in range(256)])
 
 
 def _pack(residues, digits: bytes) -> int:
@@ -218,7 +221,7 @@ def _rref_bits(m: BitRows) -> tuple[int, BitRows, list[int]]:
 def eliminate_bits(
     C: BitRows, targets: Sequence[int]
 ) -> tuple[int, int | None, tuple[int, ...], int | None]:
-    """Decide C x = A over Z2 with one Gauss-Jordan pass over [C | A | I].
+    """Decide C x = A over Z2 with one Gauss-Jordan pass over [C' | A | I].
 
     ``targets`` holds A, one bit per row of C.  Returns
     (rank(C), particular, kernel, y), packed like BitRows rows.  When the
@@ -228,12 +231,17 @@ def eliminate_bits(
     None, ``kernel`` is empty and y (over C's rows, row 0 most
     significant) picks rows with y.C = 0 and y.A = 1.
 
-    Gauss-Jordan elimination settles each column before looking at later
-    ones, and a row whose pivot lies further right never changes earlier
-    columns, so the C and A columns of rref([C | A | I]) are
-    rref([C | A]).  A pivot in the A column means the system is
-    unsolvable, and that row's identity part names the rows of C that sum
-    to zero while their targets sum to one.
+    C' is C with its columns reversed, so the pass settles C's columns
+    right to left: column f is free exactly when it is a sum of columns to
+    its right, that is when a homogeneous solution leads at f, so the free
+    columns are the pivots of the kernel's RREF.  Free f gives the kernel
+    row f plus the pivots whose rows have f set; a pivot row's other bits
+    lie left of its pivot, so these rows are that RREF already, and the
+    particular solution, zero at every free column, is the smallest of
+    its coset.  Elimination settles each column before later ones, so the
+    rows with a zero C' part are the RREF of {(y.A, y) : y.C = 0} for any
+    order of C's columns: a pivot in the A column means no solution, and
+    its row's identity part is y, the same as for [C | A | I].
 
     Raises:
         InputError: row count of C and length of targets disagree.
@@ -243,10 +251,17 @@ def eliminate_bits(
         raise InputError(
             f"system has {nrows} rows but right-hand side has length {len(targets)}"
         )
+    # C' holds C's column j at bit j: each row's bits in reverse order.
+    nbytes, pad = -(-ncols // 8), -ncols % 8
+    flipped = [
+        int.from_bytes(row.to_bytes(nbytes, "little").translate(_REVERSED), "big")
+        >> pad
+        for row in C.rows
+    ]
     aug = BitRows(
         tuple([
-            (row << 1 | a) << nrows | 1 << (nrows - 1 - i)
-            for i, (row, a) in enumerate(zip(C.rows, targets))
+            (x << 1 | a) << nrows | 1 << (nrows - 1 - i)
+            for i, (x, a) in enumerate(zip(flipped, targets))
         ]),
         ncols + 1 + nrows,
     )
@@ -255,30 +270,20 @@ def eliminate_bits(
     if rank < len(pivot_cols) and pivot_cols[rank] == ncols:
         return rank, None, (), reduced.rows[rank] & ((1 << nrows) - 1)
 
-    # Free column f spans one homogeneous solution: bit f, plus each pivot
-    # column whose row has f set.  Re-reduced, the basis is unique.
-    free = set(range(ncols)) - set(pivot_cols[:rank])
-    vectors = {ncols - 1 - f: 1 << (ncols - 1 - f) for f in free}
+    # Pivot p of C' is C's column ncols - 1 - p, bit p of a solution; its
+    # row's other C' bits are free columns.  Keyed by f, rows are in RREF order.
+    pivots = {ncols - 1 - p for p in pivot_cols[:rank]}
+    vectors = {f: 1 << (ncols - 1 - f) for f in range(ncols) if f not in pivots}
     particular = 0
     for p, row in zip(pivot_cols, reduced.rows[:rank]):
-        pivot_bit = 1 << (ncols - 1 - p)
         if row >> nrows & 1:
-            particular |= pivot_bit
-        rest = row >> (nrows + 1) ^ pivot_bit
+            particular |= 1 << p
+        rest = row >> (nrows + 1) ^ 1 << (ncols - 1 - p)
         while rest:
-            b = rest.bit_length() - 1
-            vectors[b] |= pivot_bit
-            rest ^= 1 << b
-    kernel = ()
-    if vectors:
-        ordered = (vectors[b] for b in sorted(vectors, reverse=True))
-        kernel = rref_gf2(BitRows(tuple(ordered), ncols))[1].rows
-    # Reducing by the canonical kernel rows at their pivot positions yields
-    # the lexicographically smallest element of the solution coset.
-    for row in kernel:
-        if particular >> (row.bit_length() - 1) & 1:
-            particular ^= row
-    return rank, particular, kernel, None
+            f = rest.bit_length() - 1
+            vectors[f] |= 1 << p
+            rest ^= 1 << f
+    return rank, particular, tuple(vectors.values()), None
 
 
 def annihilator_gf2(rows: MatGF2) -> list[VecGF2]:

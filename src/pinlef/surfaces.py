@@ -435,15 +435,15 @@ def eval_qminus(q: EnhancementMinus, x: HomologyClass) -> int:
     """
     if x.ring != "Z2":
         raise InputError("eval_qminus takes a Z2 class")
-    return _minus_value(q, x, homology_presentation(q.surface))
+    return _minus_value(q._high, x, homology_presentation(q.surface))
 
 
-def _minus_value(q, x: HomologyClass, pres: HomologyPresentation) -> int:
-    """:func:`eval_qminus` on the mod-2 plane of x, a Z2 or Z4 class."""
+def _minus_value(high: int, x: HomologyClass, pres: HomologyPresentation) -> int:
+    """:func:`eval_qminus`, for values of high plane ``high``, on a Z2 or Z4 x."""
     if len(x.coords) != pres.z2_rank:
         raise InputError("class length does not match the surface's generators")
     bits = x._bits
-    twos = (bits & q._high).bit_count()
+    twos = (bits & high).bit_count()
     twos += (bits & (bits << 1) & pres.handle_first).bit_count()
     return ((bits & pres.one_sided).bit_count() + 2 * twos) % 4
 
@@ -458,20 +458,20 @@ def eval_qplus(q: EnhancementPlus, x: HomologyClass) -> int:
         InvariantViolation: the surface has no Pin+ structure, so q is 1 on
             the relation row (2, ..., 2) and depends on the representative.
     """
-    value = _plus_value(q, x, homology_presentation(q.surface))
+    value = _plus_value(q._bits, x, homology_presentation(q.surface))
     if pin_plus_obstruction(q.surface) is not None:
         raise InvariantViolation(NOT_WELL_DEFINED)
     return value
 
 
-def _plus_value(q, x: HomologyClass, pres: HomologyPresentation) -> int:
-    """:func:`eval_qplus` without checking the surface's Pin+ structure."""
+def _plus_value(low: int, x: HomologyClass, pres: HomologyPresentation) -> int:
+    """:func:`eval_qplus`, for values of parity plane ``low``; Pin+ unchecked."""
     if x.ring != "Z4":
         raise InputError("eval_qplus takes a Z4 class")
     if len(x.coords) != pres.z2_rank:
         raise InputError("class length does not match the surface's generators")
     bits = x._bits
-    terms = (bits & q._bits) ^ (x._high & pres.one_sided)
+    terms = (bits & low) ^ (x._high & pres.one_sided)
     terms ^= bits & (bits << 1) & pres.handle_first
     return terms.bit_count() & 1
 

@@ -113,3 +113,30 @@ def z4_row_module(rows) -> set[tuple[int, ...]]:
             v = [(x + a * y) % 4 for x, y in zip(v, row)]
         out.add(tuple(v))
     return out
+
+
+def intersection_mod2(pres, u, v) -> int:
+    """u.v mod 2 of two coordinate rows, read off the presentation's
+    ``diagonal`` and ``partner`` tables alone."""
+    total = 0
+    for i, a in enumerate(u):
+        if a % 2:
+            j = pres.partner[i]
+            total += pres.diagonal[i] * v[i] + (v[j] if j >= 0 else 0)
+    return total % 2
+
+
+def twist(pres, c, x) -> tuple[int, ...]:
+    """T_c(x) = x + (x.c) c on Z4 coordinate rows: the action of the Dehn
+    twist along c, exact mod 2."""
+    if not intersection_mod2(pres, x, c):
+        return tuple(x)
+    return tuple((a + b) % 4 for a, b in zip(x, c))
+
+
+def hurwitz_move(pres, cycles, i) -> list[tuple[int, ...]]:
+    """The cycle list with (c_i, c_{i+1}) replaced by (T_{c_i}(c_{i+1}), c_i);
+    the product of the twists, and so the fibration, does not change."""
+    out = [tuple(c) for c in cycles]
+    out[i], out[i + 1] = twist(pres, out[i], out[i + 1]), out[i]
+    return out

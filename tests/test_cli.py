@@ -368,7 +368,7 @@ def test_sphere_mode_matches_decide_pin_over_s2(disk_text):
         assert f"Pin- over S2: {'YES' if verdicts.pin_minus else 'NO'}" in text
 
 
-@pytest.mark.parametrize("kind, eliminations", [("both", 4), ("minus", 2)])
+@pytest.mark.parametrize("kind, eliminations", [("both", 2), ("minus", 1)])
 def test_sphere_mode_decides_each_kind_once(monkeypatch, kind, eliminations):
     calls = []
     original = fl.rref_gf2
@@ -714,6 +714,10 @@ def test_main_survives_arbitrary_input(data, command, fmt):
     assert (status == 2) == err.getvalue().startswith("error: ")
 
 
+# More digits than int() converts by default (4300).
+_MANY_NINES = "9" * 5000
+
+
 def _cycle_row(row: str) -> str:
     """SPHERE_TEXT with ``row`` as the first cycle, on line 7."""
     return SPHERE_TEXT.replace("[cycles]\n", f"[cycles]\n{row}\n")
@@ -757,6 +761,26 @@ def _belt_row(row: str) -> str:
         (_belt_row("1,0,"), 9, "malformed residue row '1,0,'"),
         (_cycle_row("1 2"), 7, "malformed residue row '1 2'"),
         (_cycle_row("-1,0"), 7, "residue -1 out of range 0..3"),
+        (
+            SPHERE_TEXT.replace("genus = 1", f"genus = {_MANY_NINES}"),
+            3,
+            "genus is out of range: 5000 digits, from '999999999999'",
+        ),
+        (
+            RP4_TEXT.replace("boundary = 1", f"boundary = -{_MANY_NINES}"),
+            5,
+            "boundary is out of range: 5000 digits, from '-99999999999'",
+        ),
+        (
+            THREEFOLD_TEXT.replace("genus = 1", f"genus = {_MANY_NINES}"),
+            7,
+            "genus is out of range: 5000 digits, from '999999999999'",
+        ),
+        (
+            SPHERE_TEXT.replace("cup = 0", f"cup = {_MANY_NINES}"),
+            11,
+            "cup is out of range: 5000 digits, from '999999999999'",
+        ),
     ],
     ids=[
         "cycles-key",
@@ -772,6 +796,10 @@ def _belt_row(row: str) -> str:
         "trailing-comma",
         "no-comma",
         "negative",
+        "genus-digits",
+        "boundary-digits",
+        "threefold-genus-digits",
+        "embedded-bit-digits",
     ],
 )
 def test_parse_error_lines_and_reasons(text, line, reason):

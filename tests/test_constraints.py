@@ -79,13 +79,7 @@ CASES = [
 def test_one_elimination_per_decision(rref_calls, decider, data, exists):
     report = decider(data)
     assert report.exists is exists
-    if not exists:
-        assert len(rref_calls) == 1
-    elif report.h1_annihilator_dim == 0:
-        assert len(rref_calls) == 1
-    else:
-        # The second pass only puts the annihilator basis in canonical form.
-        assert len(rref_calls) == 2
+    assert len(rref_calls) == 1
 
 
 def test_cases_cover_trivial_and_nontrivial_annihilators():
@@ -229,6 +223,36 @@ def test_rank_4096_product_keeps_bit_rows(decide, step):
     assert s[-1] in s
 
 
+@pytest.mark.parametrize(
+    "decide, target", [(lf.decide_pin_minus, 2), (lf.decide_pin_plus, 1)]
+)
+def test_rank_4096_kernel_is_in_rref(rref_calls, decide, target):
+    # Three seeded cycles: one elimination gives the canonical kernel of
+    # dimension 4093, checked here in O(dim) big-int operations.
+    rng = random.Random(3)
+    rows = [[rng.randrange(4) for _ in range(4096)] for _ in range(3)]
+    report = decide(_fibration(P.orientable_surface(2048, 1), *rows))
+    assert len(rref_calls) == 1
+    s = report.structures
+    assert report.exists and len(s.kernel) == 4093
+    leads = [1 << (row.bit_length() - 1) for row in s.kernel]
+    assert all(a > b for a, b in zip(leads, leads[1:]))
+    pivots = 0
+    for lead in leads:
+        pivots |= lead
+    assert all(row & pivots == lead for row, lead in zip(s.kernel, leads))
+    assert s.first & pivots == 0
+    classes = [P.z4_class(row) for row in rows]
+    masks = [fl.pack_bits(c.coords) for c in classes]
+    assert all((row & m).bit_count() % 2 == 0 for row in s.kernel for m in masks)
+    q = s[0]
+    if target == 2:
+        values = [sf.eval_qminus(q, sf.z2_reduction(c)) for c in classes]
+    else:
+        values = [sf.eval_qplus(q, c) for c in classes]
+    assert values == [target] * 3
+
+
 def _listed_sets():
     """Structure sets of both kinds: every small seeded system, an empty
     set, dim 0, z2 rank 0, and rank 14 with dims 8, 9 and 12 to 14."""
@@ -330,6 +354,24 @@ def test_decide_does_not_build_the_structures(enhancements_built, decide):
     assert len(enhancements_built) <= 2
     s = report.structures
     assert s[0] in s and s[2**59] in s
+
+
+# (decider, its brute-force oracle) for every case of CASES.
+_ORACLES = {
+    lf.decide_pin_minus: lf.brute_force_pin_minus,
+    lf.decide_pin_plus: lf.brute_force_pin_plus,
+    tf.solve_pin_minus_3mfd: tf.brute_force_pin_minus_3mfd,
+    tf.decide_pin_plus_3mfd: tf.brute_force_pin_plus_3mfd,
+}
+
+
+@pytest.mark.parametrize("decider, data, exists", CASES)
+def test_decisions_build_no_enhancement(enhancements_built, decider, data, exists):
+    # YES, NO and, on the fiber with 3 crosscaps, a refused plus system.
+    assert decider(data).exists is exists
+    assert enhancements_built == []
+    found = _ORACLES[decider](data)
+    assert len(enhancements_built) == len(found)
 
 
 def test_large_product_decides_in_little_memory():

@@ -472,6 +472,45 @@ def test_packed_eliminate_certifies_unsolvable_systems(mat, rhs):
     assert sum(rhs[i] for i in picked) % 2 == 1  # y.A = 1
 
 
+@given(bit_rows(max_rows=5, max_cols=7), st.lists(bits, min_size=5, max_size=5))
+@settings(max_examples=200)
+def test_eliminate_bits_matches_exhaustive_solutions(data, rhs):
+    rows, ncols = data
+    nrows = len(rows)
+    rhs = rhs[:nrows]
+    C = fl.BitRows(tuple(fl.pack_bits(row) for row in rows), ncols)
+
+    def solutions(targets):
+        return [
+            x
+            for x in range(1 << ncols)
+            if all((row & x).bit_count() % 2 == t for row, t in zip(C.rows, targets))
+        ]
+
+    rank, particular, kernel, y = fl.eliminate_bits(C, rhs)
+    homogeneous = solutions([0] * nrows)
+    dim, reduced, _ = fl.rref_gf2(fl.BitRows(tuple(homogeneous), ncols))
+    found = solutions(rhs)
+    # y: the identity part of the A-pivot row of rref([C | A | I]).
+    aug = fl.BitRows(
+        tuple(
+            (row << 1 | a) << nrows | 1 << (nrows - 1 - i)
+            for i, (row, a) in enumerate(zip(C.rows, rhs))
+        ),
+        ncols + 1 + nrows,
+    )
+    _, aug_reduced, pivots = fl.rref_gf2(aug)
+    at_a = [i for i, p in enumerate(pivots) if p == ncols]
+    assert rank == ncols - dim
+    if found:
+        assert particular == min(found)
+        assert kernel == reduced.rows[:dim]
+        assert y is None and not at_a
+    else:
+        assert (particular, kernel) == (None, ())
+        assert y == aug_reduced.rows[at_a[0]] & ((1 << nrows) - 1)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -110,13 +110,14 @@ def _parse_int(text: str, line: int, what: str) -> int:
 
 
 def _parse_row(text: str, line: int) -> list[int]:
-    if _ROW_RE.fullmatch(text):
-        # strip(), unlike int(), takes \x1c-\x1f, which \s also matches.
-        try:
-            return list(map(int, map(str.strip, text.split(","))))
-        except ValueError:
-            pass
-    raise ParseError(line, f"malformed residue row {text!r}")
+    if not _ROW_RE.fullmatch(text):
+        raise ParseError(line, f"malformed residue row {text!r}")
+    # strip(), unlike int(), takes \x1c-\x1f, which \s also matches.
+    entries = list(map(str.strip, text.split(",")))
+    try:
+        return list(map(int, entries))
+    except ValueError:  # more digits than int() converts; _parse_int words it
+        return [_parse_int(a, line, "residue") for a in entries]
 
 
 def _lines(text: str) -> list[str]:
@@ -255,7 +256,7 @@ def _build_embedded(
         value, lineno = kv[key]
         bit = _parse_int(value, lineno, key)
         if bit not in (0, 1):
-            raise ParseError(lineno, f"{key} must be 0 or 1, got {bit}")
+            raise ParseError(lineno, f"{key} must be 0 or 1, got {sf.brief(bit)}")
         fields[field] = bit
     return EmbeddedSurfaceData(**fields)
 
@@ -306,7 +307,7 @@ def _residue_classes(
             raise ParseError(lineno, message.format(len(row), length))
         for a in row:
             if not 0 <= a <= 3:
-                raise ParseError(lineno, f"residue {a} out of range 0..3")
+                raise ParseError(lineno, f"residue {sf.brief(a)} out of range 0..3")
     return tuple([sf.HomologyClass("Z4", tuple(row)) for row, _ in rows])
 
 

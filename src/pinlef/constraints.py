@@ -239,7 +239,9 @@ def rank_mismatch(reason: str) -> Callable[[int, list[int]], tuple]:
 class ConstraintSystem(Record):
     """Enhancements of ``kind`` ("minus" or "plus") on ``surface`` taking
     the value ``target``, a residue mod 2 * step, on each of the Z4
-    ``classes``, in row order."""
+    ``classes``, in row order.  Each class is checked when the system is
+    made: a Z4 class (minus also reads Z2 ones) with one coordinate per
+    generator."""
 
     def __init__(
         self,
@@ -253,10 +255,15 @@ class ConstraintSystem(Record):
         target = sf.as_integer(target, "target")
         if not 0 <= target < 2 * _KINDS[kind][0].step:
             raise InputError(f"target {target} is not a {kind} enhancement value")
-        classes = tuple(classes)
+        classes, r = tuple(classes), surface.z2_rank
+        rings = ("Z2", "Z4") if kind == "minus" else ("Z4",)
         for n, c in enumerate(classes, start=1):
-            if not isinstance(c, sf.HomologyClass):
+            if not isinstance(c, sf.HomologyClass) or c.ring not in rings:
                 raise InputError(f"class {n} must be a Z4 class")
+            if len(c.coords) != r:
+                raise InputError(
+                    f"class {n} has {len(c.coords)} coordinates, expected {r}"
+                )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "classes", classes)
@@ -275,12 +282,9 @@ class ConstraintSystem(Record):
         if self.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
             raise InvariantViolation(sf.NOT_WELL_DEFINED)
         cls, evaluate = _KINDS[self.kind]
-        pres = sf.homology_presentation(s)
-        # Evaluate every class first: an evaluator's error outranks a parity one.
-        values = [evaluate(0, c, pres) for c in self.classes]
-        step, rhs = cls.step, []
-        for n, (c, value) in enumerate(zip(self.classes, values), start=1):
-            gap, odd = divmod(self.target - value, step)
+        pres, rhs = sf.homology_presentation(s), []
+        for n, c in enumerate(self.classes, start=1):
+            gap, odd = divmod(self.target - evaluate(0, c, pres), cls.step)
             if odd:  # q(c) = q0(c) mod step for every q
                 txt = sf.format_class(pres, c.coords)
                 raise InputError(
@@ -324,16 +328,9 @@ class ConstraintSystem(Record):
         if self.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
             return []
         cls, evaluate = _KINDS[self.kind]
-        pres, tests, error = sf.homology_presentation(s), [], None
+        pres, tests = sf.homology_presentation(s), []
         for c in self.classes:
-            try:
-                value = evaluate(0, c, pres)
-            except InputError as exc:
-                # Raised only if a candidate meets every earlier class: a
-                # class that no candidate reaches is never evaluated.
-                error = exc
-                break
-            gap, odd = divmod(self.target - value, cls.step)
+            gap, odd = divmod(self.target - evaluate(0, c, pres), cls.step)
             if odd:  # no candidate meets c, so none reaches a later class
                 return []
             tests.append((c._bits, gap % 2))
@@ -344,6 +341,4 @@ class ConstraintSystem(Record):
                     break
             else:
                 hits.append(t)
-        if hits and error is not None:
-            raise error
         return _structures(self.kind, s, hits)

@@ -87,7 +87,7 @@ class SurfaceModel(Record):
             raise InputError("a non-orientable surface needs at least one crosscap")
         if self.z2_rank > MAX_Z2_RANK:
             raise InputError(
-                f"z2 rank {self.z2_rank} exceeds the limit of {MAX_Z2_RANK}"
+                f"z2 rank {brief(self.z2_rank)} exceeds the limit of {MAX_Z2_RANK}"
             )
 
     @property
@@ -254,6 +254,17 @@ def as_integer(value, what: str) -> int:
         return index(value)
     except TypeError:
         raise InputError(f"{what} {value!r} is not an integer") from None
+
+
+def brief(n: int) -> str:
+    """n as a message quotes it: whole up to 12 characters, else its first
+    12 and its digit count."""
+    from decimal import Decimal  # which, unlike str(), writes any int
+
+    text = str(Decimal(n))
+    if len(text) <= 12:
+        return text
+    return f"{text[:12]}... ({len(text.lstrip('-'))} digits)"
 
 
 def _integers(entries, what: str) -> tuple[int, ...]:
@@ -435,13 +446,14 @@ def eval_qminus(q: EnhancementMinus, x: HomologyClass) -> int:
     """
     if x.ring != "Z2":
         raise InputError("eval_qminus takes a Z2 class")
-    return _minus_value(q._high, x, homology_presentation(q.surface))
+    pres = homology_presentation(q.surface)
+    if len(x.coords) != pres.z2_rank:
+        raise InputError("class length does not match the surface's generators")
+    return _minus_value(q._high, x, pres)
 
 
 def _minus_value(high: int, x: HomologyClass, pres: HomologyPresentation) -> int:
-    """:func:`eval_qminus`, for values of high plane ``high``, on a Z2 or Z4 x."""
-    if len(x.coords) != pres.z2_rank:
-        raise InputError("class length does not match the surface's generators")
+    """:func:`eval_qminus` on a checked Z2 or Z4 x, for high plane ``high``."""
     bits = x._bits
     twos = (bits & high).bit_count()
     twos += (bits & (bits << 1) & pres.handle_first).bit_count()
@@ -458,18 +470,18 @@ def eval_qplus(q: EnhancementPlus, x: HomologyClass) -> int:
         InvariantViolation: the surface has no Pin+ structure, so q is 1 on
             the relation row (2, ..., 2) and depends on the representative.
     """
-    value = _plus_value(q._bits, x, homology_presentation(q.surface))
+    if x.ring != "Z4":
+        raise InputError("eval_qplus takes a Z4 class")
+    pres = homology_presentation(q.surface)
+    if len(x.coords) != pres.z2_rank:
+        raise InputError("class length does not match the surface's generators")
     if pin_plus_obstruction(q.surface) is not None:
         raise InvariantViolation(NOT_WELL_DEFINED)
-    return value
+    return _plus_value(q._bits, x, pres)
 
 
 def _plus_value(low: int, x: HomologyClass, pres: HomologyPresentation) -> int:
-    """:func:`eval_qplus`, for values of parity plane ``low``; Pin+ unchecked."""
-    if x.ring != "Z4":
-        raise InputError("eval_qplus takes a Z4 class")
-    if len(x.coords) != pres.z2_rank:
-        raise InputError("class length does not match the surface's generators")
+    """:func:`eval_qplus` on a checked x, for parity plane ``low``; Pin+ unchecked."""
     bits = x._bits
     terms = (bits & low) ^ (x._high & pres.one_sided)
     terms ^= bits & (bits << 1) & pres.handle_first

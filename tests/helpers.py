@@ -140,3 +140,26 @@ def hurwitz_move(pres, cycles, i) -> list[tuple[int, ...]]:
     out = [tuple(c) for c in cycles]
     out[i], out[i + 1] = twist(pres, out[i], out[i + 1]), out[i]
     return out
+
+
+def pulled_back(q, d):
+    """q o T_d, the enhancement whose value on each generator e is
+    q(T_d(e)); T_d keeps the mod-2 form, so this is an enhancement too."""
+    pres = P.homology_presentation(q.surface)
+    if isinstance(q, P.EnhancementMinus):
+        evaluate, make = P.eval_qminus, P.z2_class
+    else:
+        evaluate, make = P.eval_qplus, P.z4_class
+    r = pres.z2_rank
+    units = [[int(i == k) for k in range(r)] for i in range(r)]
+    values = tuple(evaluate(q, make(twist(pres, d, e))) for e in units)
+    return type(q)(q.surface, values)
+
+
+def handle_slide(classes, i, j, times) -> list[tuple[int, ...]]:
+    """The classes with a_i replaced by a_i + times * a_j mod 4; when
+    a_i.a_j is even this slides handle i over handle j, which keeps the
+    manifold."""
+    out = [tuple(c) for c in classes]
+    out[i] = tuple((a + times * b) % 4 for a, b in zip(out[i], out[j]))
+    return out

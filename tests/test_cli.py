@@ -716,6 +716,8 @@ def test_main_survives_arbitrary_input(data, command, fmt):
 
 # More digits than int() converts by default (4300).
 _MANY_NINES = "9" * 5000
+# Fewer, but more than a message quotes whole.
+_LONG_NINES = "9" * 4000
 
 
 def _cycle_row(row: str) -> str:
@@ -781,6 +783,36 @@ def _belt_row(row: str) -> str:
             11,
             "cup is out of range: 5000 digits, from '999999999999'",
         ),
+        (
+            _cycle_row(f"1, {_MANY_NINES}"),
+            7,
+            "residue is out of range: 5000 digits, from '999999999999'",
+        ),
+        (
+            _belt_row(f"-{_MANY_NINES},0,0"),
+            9,
+            "residue is out of range: 5000 digits, from '-99999999999'",
+        ),
+        (
+            _cycle_row(f"1,{_LONG_NINES}"),
+            7,
+            "residue 999999999999... (4000 digits) out of range 0..3",
+        ),
+        (
+            _belt_row(f"-{_LONG_NINES},0"),
+            9,
+            "residue -99999999999... (4000 digits) out of range 0..3",
+        ),
+        (
+            SPHERE_TEXT.replace("cup = 0", f"cup = {_LONG_NINES}"),
+            11,
+            "cup must be 0 or 1, got 999999999999... (4000 digits)",
+        ),
+        (
+            SPHERE_TEXT.replace("genus = 1", f"genus = {'9' * 4300}"),
+            1,
+            "z2 rank 199999999999... (4301 digits) exceeds the limit of 4096",
+        ),
     ],
     ids=[
         "cycles-key",
@@ -800,6 +832,12 @@ def _belt_row(row: str) -> str:
         "boundary-digits",
         "threefold-genus-digits",
         "embedded-bit-digits",
+        "cycle-entry-digits",
+        "belt-entry-digits",
+        "long-residue",
+        "long-negative-residue",
+        "long-embedded-bit",
+        "long-rank",
     ],
 )
 def test_parse_error_lines_and_reasons(text, line, reason):

@@ -424,7 +424,7 @@ def test_target_out_of_range_is_refused_at_construction(kind, target):
 
 @pytest.mark.parametrize("kind, target", [("minus", 2), ("plus", 1)])
 def test_entries_that_are_not_classes_are_refused_at_construction(kind, target):
-    # Z2 classes pass: the evaluators word their errors.
+    # A minus system also reads Z2 classes; a plus one refuses them.
     surface = P.non_orientable_surface(2)
     for classes, n in [(((1, 1),), 1), ((P.z4_class([1, 1]), [1, 1]), 2)]:
         with pytest.raises(InputError) as err:
@@ -551,46 +551,49 @@ def test_brute_force_equals_the_filter_over_every_enhancement(seed):
     assert hits == {True, False}
 
 
-_WRONG_LENGTH = "class length does not match the surface's generators"
-
-
 @pytest.mark.parametrize(
     "kind, classes, message",
     [
-        ("plus", (P.z4_class([1]),), _WRONG_LENGTH),
-        ("minus", (P.z4_class([1, 1, 0]),), _WRONG_LENGTH),
-        ("plus", (P.z2_class([1, 0]),), "eval_qplus takes a Z4 class"),
-    ],
-)
-def test_brute_force_raises_the_evaluators_input_errors(kind, classes, message):
-    system = ConstraintSystem(kind, TORUS_1, classes, 0)
-    with pytest.raises(InputError) as err:
-        system.brute_force()
-    assert str(err.value) == message
-
-
-def test_brute_force_never_evaluates_a_class_no_candidate_reaches():
-    # No plus enhancement is 1 on (2, 0), so the scan never evaluates the
-    # wrong-length class after it.
-    classes = (P.z4_class([2, 0]), P.z4_class([1]))
-    assert ConstraintSystem("plus", TORUS_1, classes, 1).brute_force() == []
-
-
-@pytest.mark.parametrize(
-    "kind, classes, message",
-    [
-        ("minus", (P.z4_class([1, 0]), P.z4_class([1])), _WRONG_LENGTH),
+        ("plus", (P.z4_class([1]),), "class 1 has 1 coordinates, expected 2"),
+        ("minus", (P.z4_class([1, 1, 0]),), "class 1 has 3 coordinates, expected 2"),
+        ("minus", (P.z2_class([1]),), "class 1 has 1 coordinates, expected 2"),
+        ("plus", (P.z2_class([1, 0]),), "class 1 must be a Z4 class"),
+        (
+            "plus",
+            (P.z4_class([2, 0]), P.z4_class([1])),
+            "class 2 has 1 coordinates, expected 2",
+        ),
+        (
+            "minus",
+            (P.z4_class([1, 0]), P.z4_class([1])),
+            "class 2 has 1 coordinates, expected 2",
+        ),
         (
             "plus",
             (P.z4_class([1, 0]), P.z2_class([1, 0])),
-            "eval_qplus takes a Z4 class",
+            "class 2 must be a Z4 class",
         ),
     ],
-    ids=["minus-parity-then-length", "plus-then-z2"],
+    ids=[
+        "plus-length",
+        "minus-length",
+        "minus-z2-length",
+        "plus-z2",
+        "plus-miss-then-length",
+        "minus-parity-then-length",
+        "plus-then-z2",
+    ],
 )
-def test_decide_evaluates_every_class_before_any_parity(kind, classes, message):
-    # Class 1 is of the wrong parity for minus; the error of class 2 wins.
-    system = ConstraintSystem(kind, TORUS_1, classes, 1)
+def test_malformed_classes_are_refused_at_construction(kind, classes, message):
+    # At target 1 no plus enhancement meets (2, 0) and a1 has the wrong
+    # parity for minus: a later class is refused even after a class that
+    # no enhancement meets.
     with pytest.raises(InputError) as err:
-        system.decide(_unsolvable)
+        ConstraintSystem(kind, TORUS_1, classes, 1)
     assert str(err.value) == message
+
+
+def test_minus_systems_read_z2_classes():
+    system = ConstraintSystem("minus", TORUS_1, (P.z2_class([1, 1]),), 2)
+    report = system.decide(_unsolvable)
+    assert list(report.structures) == system.brute_force() != []

@@ -6,8 +6,13 @@ Stipsicz, *4-Manifolds and Kirby Calculus*, ch. 8).  Mod 2 it is exact for
 Pin- on every fiber, whose systems read only the cycles' mod-2 classes, and
 for Pin+ on orientable fibers, whose values do too.  On orientable fibers
 Pin- and Pin+ agree (Stipsicz, "Spin structures on Lefschetz fibrations",
-Bull. London Math. Soc. 33, 2001).  The reports are compared by their rows,
-so no structure is ever listed, and no array API is used.
+Bull. London Math. Soc. 33, 2001).  Twisting every cycle along one
+two-sided class d conjugates the monodromy, so it keeps verdicts and
+counts, and q -> q o T_d carries each structure to one of the conjugated
+fibration.  Sliding attaching handle i over handle j, a_i -> a_i + a_j or
+a_i + 3 a_j mod 4 with a_i.a_j even, keeps a threefold and both kinds'
+solution sets.  The reports are compared by their rows, so no structure is
+ever listed, and no array API is used.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from hypothesis import strategies as st
 
 import pinlef as P
 from pinlef import lefschetz as lf
-from helpers import hurwitz_move, intersection_mod2
+from pinlef import threefolds as tf
+from helpers import handle_slide, hurwitz_move, intersection_mod2, pulled_back, twist
 
 MAX_RANK = 64
 
@@ -49,13 +55,18 @@ def fibers(draw, orientable=None):
 
 @st.composite
 def cycle_lists(draw, surface, least=0):
-    """From ``least`` to six two-sided Z4 cycles; about one in four is the
-    sum of a drawn pair of earlier ones, so dependent families, and NO,
-    occur."""
+    """From ``least`` to six two-sided Z4 cycles."""
+    return draw(class_rows(surface, draw(st.integers(least, 6))))
+
+
+@st.composite
+def class_rows(draw, surface, count):
+    """``count`` two-sided Z4 rows; about one in four is the sum of a drawn
+    pair of earlier ones, so dependent families, and NO, occur."""
     pres = P.homology_presentation(surface)
     r = surface.z2_rank
     cycles = []
-    for _ in range(draw(st.integers(least, 6))):
+    for _ in range(count):
         if len(cycles) >= 2 and not draw(st.integers(0, 3)):
             pick = st.integers(0, len(cycles) - 1)
             i, j = draw(pick), draw(pick)
@@ -110,6 +121,70 @@ def test_hurwitz_moves_keep_pin_plus_on_orientable_fibers(pair):
 def test_pin_minus_and_pin_plus_agree_on_orientable_fibers(pair):
     for f in pair:
         assert _summary(lf.decide_pin_minus(f)) == _summary(lf.decide_pin_plus(f))
+
+
+@st.composite
+def conjugated_fibrations(draw, orientable=None):
+    """(fibration, the same with every cycle twisted along a drawn
+    two-sided class d, d)."""
+    surface = draw(fibers(orientable))
+    cycles = draw(cycle_lists(surface))
+    (d,) = draw(class_rows(surface, 1))
+    pres = P.homology_presentation(surface)
+    moved = [twist(pres, d, c) for c in cycles]
+    return _fibration(surface, cycles), _fibration(surface, moved), d
+
+
+def _check_conjugation(decide, triple):
+    f, g, d = triple
+    before, after = decide(f), decide(g)
+    assert _summary(before)[:3] == _summary(after)[:3]
+    if before.exists:
+        assert pulled_back(before.structures[0], d) in after.structures
+
+
+@given(conjugated_fibrations())
+@settings(max_examples=20, deadline=None)
+def test_global_conjugation_keeps_pin_minus(triple):
+    _check_conjugation(lf.decide_pin_minus, triple)
+
+
+@given(conjugated_fibrations(orientable=True))
+@settings(max_examples=20, deadline=None)
+def test_global_conjugation_keeps_pin_plus_on_orientable_fibers(triple):
+    _check_conjugation(lf.decide_pin_plus, triple)
+
+
+@st.composite
+def slid_threefolds(draw):
+    """(decomposition, the same after one to eight drawn handle slides of
+    attaching classes whose pairing is even), of boundary rank at most
+    MAX_RANK."""
+    genus = draw(st.integers(2, MAX_RANK // 2))
+    boundary = P.non_orientable_surface(2 * genus, 0)
+    pres = P.homology_presentation(boundary)
+    attach = draw(class_rows(boundary, genus))
+    belt = draw(class_rows(boundary, genus))
+    slid = attach
+    pick = st.integers(0, genus - 1)
+    for _ in range(draw(st.integers(1, 8))):
+        i, j, times = draw(pick), draw(pick), draw(st.sampled_from([1, 3]))
+        if i != j and not intersection_mod2(pres, slid[i], slid[j]):
+            slid = handle_slide(slid, i, j, times)
+    return _threefold(genus, attach, belt), _threefold(genus, slid, belt)
+
+
+def _threefold(genus, attach, belt):
+    classes = [tuple(P.z4_class(c) for c in rows) for rows in (attach, belt)]
+    return P.HandlebodyDecomposition3(genus, *classes)
+
+
+@given(slid_threefolds())
+@settings(max_examples=20, deadline=None)
+def test_handle_slides_keep_both_kinds(pair):
+    d, e = pair
+    for decide in (tf.solve_pin_minus_3mfd, tf.decide_pin_plus_3mfd):
+        assert _summary(decide(d)) == _summary(decide(e))
 
 
 def test_laws_hold_near_the_rank_cap():

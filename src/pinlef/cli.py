@@ -71,6 +71,8 @@ _KEY_RE = re.compile(r"^([A-Za-z0-9_-]+)\s*=\s*(.*)$")
 _INT_RE = re.compile(r"-?[0-9]+")
 # A residue row: such integers, each with optional spaces, between commas.
 _ROW_RE = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*")
+# Each of the digits 0-3 to the byte of its value.
+_DIGIT_VALUES = bytes.maketrans(b"0123", bytes(range(4)))
 _ORACLE_RANK_LIMIT = 20
 # enumerate prints one line per structure; beyond this many it refuses.
 _ENUMERATE_LIMIT = 1 << 20
@@ -97,9 +99,17 @@ class InputDocument(Record):
 # ---------------------------------------------------------------------------
 
 
+def _quote(text: str) -> str:
+    """text as a message quotes it: whole up to 12 characters, else its
+    first 12 and its length, like :func:`sf.brief` for integers."""
+    if len(text) <= 12:
+        return repr(text)
+    return f"{text[:12]!r}... ({len(text)} characters)"
+
+
 def _parse_int(text: str, line: int, what: str) -> int:
     if not _INT_RE.fullmatch(text):
-        raise ParseError(line, f"{what} must be an integer, got {text!r}")
+        raise ParseError(line, f"{what} must be an integer, got {_quote(text)}")
     try:
         return int(text)
     except ValueError:  # more digits than int() converts
@@ -109,9 +119,16 @@ def _parse_int(text: str, line: int, what: str) -> int:
         ) from None
 
 
-def _parse_row(text: str, line: int) -> list[int]:
+def _parse_row(text: str, line: int) -> bytes | list[int]:
+    """A residue row's entries: as bytes for a row written as
+    :func:`serialize` writes one (digits 0-3 between single commas), read
+    in a few passes over the whole row; else as ints, read entry by entry."""
+    if text.isascii():
+        b = text.encode()
+        if len(b) & 1 and not b[1::2].strip(b",") and not b[::2].strip(b"0123"):
+            return b[::2].translate(_DIGIT_VALUES)
     if not _ROW_RE.fullmatch(text):
-        raise ParseError(line, f"malformed residue row {text!r}")
+        raise ParseError(line, f"malformed residue row {_quote(text)}")
     # strip(), unlike int(), takes \x1c-\x1f, which \s also matches.
     entries = list(map(str.strip, text.split(",")))
     try:
@@ -139,9 +156,11 @@ def parse(text: str) -> InputDocument:
             or a missing surface block.
     """
     pairs: dict[str, dict[str, tuple[str, int]]] = {"surface": {}, "threefold": {}}
-    cycles_rows: list[tuple[list[int], int]] = []
+    cycles_rows: list[tuple[bytes | list[int], int]] = []
     seen: dict[str, int] = {}
-    three_rows: dict[str, list[tuple[list[int], int]]] = {k: [] for k in _ROW_KEYS}
+    three_rows: dict[str, list[tuple[bytes | list[int], int]]] = {
+        k: [] for k in _ROW_KEYS
+    }
     embedded: list[tuple[dict[str, tuple[str, int]], int]] = []
     section: str | None = None
     last_line = 0
@@ -172,7 +191,7 @@ def parse(text: str) -> InputDocument:
             continue
         m = _KEY_RE.match(line)
         if not m:
-            raise ParseError(lineno, f"expected 'key = value', got {line!r}")
+            raise ParseError(lineno, f"expected 'key = value', got {_quote(line)}")
         key, value = m.group(1), m.group(2).strip()
         if section == "threefold" and key in three_rows:
             three_rows[key].append((_parse_row(value, lineno), lineno))
@@ -263,7 +282,7 @@ def _build_embedded(
 
 def _build_threefold(
     kv: dict[str, tuple[str, int]],
-    rows: dict[str, list[tuple[list[int], int]]],
+    rows: dict[str, list[tuple[bytes | list[int], int]]],
     surface: sf.SurfaceModel,
     header_line: int,
 ) -> tf.HandlebodyDecomposition3:
@@ -298,17 +317,19 @@ def _build_threefold(
 
 
 def _residue_classes(
-    rows: list[tuple[list[int], int]], length: int, message: str
+    rows: list[tuple[bytes | list[int], int]], length: int, message: str
 ) -> tuple[sf.HomologyClass, ...]:
     """Z4 classes from parsed residue rows; ``message`` formats the actual
-    and expected length of a row that is not ``length`` long."""
+    and expected length of a row that is not ``length`` long.  Rows read
+    as bytes hold residues 0..3 only."""
     for row, lineno in rows:
         if len(row) != length:
             raise ParseError(lineno, message.format(len(row), length))
-        for a in row:
-            if not 0 <= a <= 3:
-                raise ParseError(lineno, f"residue {sf.brief(a)} out of range 0..3")
-    return tuple([sf.HomologyClass("Z4", tuple(row)) for row, _ in rows])
+        if row.__class__ is not bytes:
+            for a in row:
+                if not 0 <= a <= 3:
+                    raise ParseError(lineno, f"residue {sf.brief(a)} out of range 0..3")
+    return tuple([sf.HomologyClass("Z4", row) for row, _ in rows])
 
 
 def serialize(doc: InputDocument) -> str:

@@ -236,12 +236,20 @@ def rank_mismatch(reason: str) -> Callable[[int, list[int]], tuple]:
     )
 
 
+class CheckedClasses(tuple):
+    """Z4 classes that all have one number of coordinates, as a fibration
+    or a threefold checks its classes when it is made."""
+
+    __slots__ = ()
+
+
 class ConstraintSystem(Record):
     """Enhancements of ``kind`` ("minus" or "plus") on ``surface`` taking
     the value ``target``, a residue mod 2 * step, on each of the Z4
     ``classes``, in row order.  Each class is checked when the system is
     made: a Z4 class (minus also reads Z2 ones) with one coordinate per
-    generator."""
+    generator.  Of :class:`CheckedClasses`, checked once already, only the
+    coordinate count is compared with the surface."""
 
     def __init__(
         self,
@@ -255,15 +263,17 @@ class ConstraintSystem(Record):
         target = sf.as_integer(target, "target")
         if not 0 <= target < 2 * _KINDS[kind][0].step:
             raise InputError(f"target {target} is not a {kind} enhancement value")
+        checked = classes.__class__ is CheckedClasses
         classes, r = tuple(classes), surface.z2_rank
-        rings = ("Z2", "Z4") if kind == "minus" else ("Z4",)
-        for n, c in enumerate(classes, start=1):
-            if not isinstance(c, sf.HomologyClass) or c.ring not in rings:
-                raise InputError(f"class {n} must be a Z4 class")
-            if len(c.coords) != r:
-                raise InputError(
-                    f"class {n} has {len(c.coords)} coordinates, expected {r}"
-                )
+        if not checked or classes and len(classes[0].coords) != r:
+            rings = ("Z2", "Z4") if kind == "minus" else ("Z4",)
+            for n, c in enumerate(classes, start=1):
+                if not isinstance(c, sf.HomologyClass) or c.ring not in rings:
+                    raise InputError(f"class {n} must be a Z4 class")
+                if len(c.coords) != r:
+                    raise InputError(
+                        f"class {n} has {len(c.coords)} coordinates, expected {r}"
+                    )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "classes", classes)

@@ -63,6 +63,14 @@ def high_bits(residues) -> int:
     return _pack(residues, _HIGH_DIGITS)
 
 
+def planes(residues: bytes) -> tuple[int, int]:
+    """:func:`pack_bits` and :func:`high_bits` of a bytes row of residues."""
+    return (
+        int(residues.translate(_PARITY_DIGITS) or b"0", 2),
+        int(residues.translate(_HIGH_DIGITS) or b"0", 2),
+    )
+
+
 def unpack_bits(x: int, ncols: int) -> bytes:
     """Inverse of :func:`pack_bits` on 0/1 rows: one 0/1 byte per column."""
     return format(x, f"0{ncols}b").encode().translate(_DIGIT_BITS) if ncols else b""

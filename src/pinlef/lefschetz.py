@@ -25,7 +25,13 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import finite_linalg as fl
 from . import surfaces as sf
 from ._record import Record
-from .constraints import ConstraintSystem, DecisionReport, rank_mismatch, z2_rows
+from .constraints import (
+    CheckedClasses,
+    ConstraintSystem,
+    DecisionReport,
+    rank_mismatch,
+    z2_rows,
+)
 from .errors import InputError, InvariantViolation
 
 if TYPE_CHECKING:
@@ -62,6 +68,7 @@ class LefschetzFibration(Record):
                     f"cycle {n} ({sf.format_class(pres, c.coords)}) has odd "
                     "self-intersection; vanishing cycles are two-sided"
                 )
+        object.__setattr__(self, "_checked", CheckedClasses(self.cycles))
 
     def z2_cycle_matrix(self) -> fl.MatGF2:
         """Mod-2 reductions of the cycles, one row per cycle."""
@@ -131,7 +138,7 @@ def decide_pin_minus(f: LefschetzFibration) -> DecisionReport:
         witness = _witness_from_combination(f, y)
         return witness.describe(f), witness
 
-    return ConstraintSystem("minus", f.fiber, f.cycles, 2).decide(certify)
+    return ConstraintSystem("minus", f.fiber, f._checked, 2).decide(certify)
 
 
 def decide_pin_plus(f: LefschetzFibration) -> DecisionReport:
@@ -142,7 +149,7 @@ def decide_pin_plus(f: LefschetzFibration) -> DecisionReport:
     exactly when the cycle matrix and its augmentation have equal rank.
     A fiber with no Pin+ structure obstructs immediately.
     """
-    system = ConstraintSystem("plus", f.fiber, f.cycles, 1)
+    system = ConstraintSystem("plus", f.fiber, f._checked, 1)
     obstruction = sf.pin_plus_obstruction(f.fiber)
     if obstruction is not None:
         return system.refuse(f"fiber has no Pin+ structure: {obstruction}")
@@ -180,12 +187,12 @@ def pin_minus_witness_search(f: LefschetzFibration) -> ObstructionWitness | None
 
 def brute_force_pin_minus(f: LefschetzFibration) -> list[sf.EnhancementMinus]:
     """All minus enhancements taking the value 2 on every cycle (2**rank scan)."""
-    return ConstraintSystem("minus", f.fiber, f.cycles, 2).brute_force()
+    return ConstraintSystem("minus", f.fiber, f._checked, 2).brute_force()
 
 
 def brute_force_pin_plus(f: LefschetzFibration) -> list[sf.EnhancementPlus]:
     """All plus enhancements taking the value 1 on every cycle (2**rank scan)."""
-    return ConstraintSystem("plus", f.fiber, f.cycles, 1).brute_force()
+    return ConstraintSystem("plus", f.fiber, f._checked, 1).brute_force()
 
 
 class SphereVerdicts(NamedTuple):

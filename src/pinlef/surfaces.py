@@ -224,6 +224,10 @@ def pin_plus_exists_surface(s: SurfaceModel) -> bool:
     return pin_plus_obstruction(s) is None
 
 
+# The residues 0..3 as bytes; a class's entries are its first 2 or 4.
+_RESIDUES = bytes(range(4))
+
+
 class HomologyClass(Record):
     """A coefficient vector over the generators, with ring tag Z2 or Z4.
 
@@ -234,18 +238,30 @@ class HomologyClass(Record):
     """
 
     def __init__(self, ring: str, coords: tuple[int, ...]) -> None:
+        # Bytes (the command line's rows) are entries 0..255 already; other
+        # coordinates are read entry by entry, and bytes() refuses any
+        # outside 0..255.  The range check and both planes read the bytes.
+        if coords.__class__ is bytes:
+            raw, c = coords, tuple(coords)
+        else:
+            c = _integers(coords, "coordinate")
+            try:
+                raw = bytes(c)
+            except ValueError:
+                raw = b"\xff"
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coords", c := _integers(coords, "coordinate"))
-        self.__post_init__()
-        vars(self).update(_bits=fl.pack_bits(c), _high=fl.high_bits(c))
-
-    def __post_init__(self):
-        if self.ring not in ("Z2", "Z4"):
-            raise InputError(f"unknown coefficient ring {self.ring!r}")
-        mod = 2 if self.ring == "Z2" else 4
-        for a in self.coords:
-            if not 0 <= a < mod:
-                raise InputError(f"coordinate {a} out of range for {self.ring} class")
+        object.__setattr__(self, "coords", c)
+        if ring not in ("Z2", "Z4"):
+            raise InputError(f"unknown coefficient ring {ring!r}")
+        mod = 2 if ring == "Z2" else 4
+        if raw.translate(None, _RESIDUES[:mod]):  # word the first one out of range
+            a = next(a for a in c if not 0 <= a < mod)
+            raise InputError(f"coordinate {a} out of range for {ring} class")
+        # Set like the fields: vars(self).update() would unshare the
+        # instance dict's keys, and every attribute read would slow.
+        bits, high = fl.planes(raw)
+        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_high", high)
 
 
 def as_integer(value, what: str) -> int:

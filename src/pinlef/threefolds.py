@@ -18,7 +18,13 @@ from __future__ import annotations
 from . import finite_linalg as fl
 from . import surfaces as sf
 from ._record import Record
-from .constraints import ConstraintSystem, DecisionReport, rank_mismatch, z2_rows
+from .constraints import (
+    CheckedClasses,
+    ConstraintSystem,
+    DecisionReport,
+    rank_mismatch,
+    z2_rows,
+)
 from .errors import InputError, InvalidDecomposition, InvariantViolation
 
 
@@ -72,6 +78,7 @@ class HandlebodyDecomposition3(Record):
                         f"{label} class {n} has odd self-intersection; "
                         "curves bounding disks are two-sided"
                     )
+        object.__setattr__(self, "_checked", CheckedClasses(self.listed_classes()))
 
     @property
     def boundary(self) -> sf.SurfaceModel:
@@ -100,7 +107,7 @@ def decide_pin_plus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:
     """
     # 2g crosscaps is even, so the boundary always carries Pin+ and the
     # plus system never refuses it here.
-    system = ConstraintSystem("plus", d.boundary, d.listed_classes(), 0)
+    system = ConstraintSystem("plus", d.boundary, d._checked, 0)
     reason = "no enhancement vanishes on all attaching and belt classes"
     return system.decide(rank_mismatch(reason))
 
@@ -121,7 +128,7 @@ def solve_pin_minus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:
             f"inconsistent subset: {names}"
         ), None
 
-    return ConstraintSystem("minus", d.boundary, d.listed_classes(), 0).decide(certify)
+    return ConstraintSystem("minus", d.boundary, d._checked, 0).decide(certify)
 
 
 def construct_pin_minus_3mfd(d: HandlebodyDecomposition3) -> sf.EnhancementMinus:
@@ -145,11 +152,11 @@ def construct_pin_minus_3mfd(d: HandlebodyDecomposition3) -> sf.EnhancementMinus
 
 def brute_force_pin_plus_3mfd(d: HandlebodyDecomposition3) -> list[sf.EnhancementPlus]:
     """All plus enhancements vanishing on the listed classes (2**(2g) scan)."""
-    return ConstraintSystem("plus", d.boundary, d.listed_classes(), 0).brute_force()
+    return ConstraintSystem("plus", d.boundary, d._checked, 0).brute_force()
 
 
 def brute_force_pin_minus_3mfd(
     d: HandlebodyDecomposition3,
 ) -> list[sf.EnhancementMinus]:
     """All minus enhancements vanishing on the listed classes (2**(2g) scan)."""
-    return ConstraintSystem("minus", d.boundary, d.listed_classes(), 0).brute_force()
+    return ConstraintSystem("minus", d.boundary, d._checked, 0).brute_force()

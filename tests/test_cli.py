@@ -813,6 +813,21 @@ def _belt_row(row: str) -> str:
             1,
             "z2 rank 199999999999... (4301 digits) exceeds the limit of 4096",
         ),
+        (
+            _cycle_row(f"1,,{_MANY_NINES}"),
+            7,
+            "malformed residue row '1,,999999999'... (5003 characters)",
+        ),
+        (
+            SPHERE_TEXT.replace("genus = 1", f"genus = 1x{_MANY_NINES}"),
+            3,
+            "genus must be an integer, got '1x9999999999'... (5002 characters)",
+        ),
+        (
+            RP4_TEXT.replace("boundary = 1", f"boundary {_MANY_NINES}"),
+            5,
+            "expected 'key = value', got 'boundary 999'... (5009 characters)",
+        ),
     ],
     ids=[
         "cycles-key",
@@ -838,12 +853,58 @@ def _belt_row(row: str) -> str:
         "long-negative-residue",
         "long-embedded-bit",
         "long-rank",
+        "long-malformed-row",
+        "long-non-integer",
+        "long-line-without-equals",
     ],
 )
 def test_parse_error_lines_and_reasons(text, line, reason):
     with pytest.raises(ParseError) as err:
         cli.parse(text)
     assert (err.value.line, err.value.reason) == (line, reason)
+
+
+def _read_row(row: str, rank: int, belt: bool):
+    """What parse makes of ``row`` as the first cycle row, or as the first
+    belt row of a threefold of genus ``rank``: each class's coordinates,
+    ring and planes, or the ParseError's line and reason."""
+    if belt:
+        zeros = ",".join("0" * 2 * rank)
+        text = (
+            f"[surface]\nkind = non-orientable\ncrosscaps = {2 * rank}\n"
+            f"[threefold]\ngenus = {rank}\n"
+            + f"attach = {zeros}\n" * rank
+            + f"belt = {row}\n"
+            + f"belt = {zeros}\n" * (rank - 1)
+        )
+    else:
+        text = (
+            f"[surface]\nkind = non-orientable\ncrosscaps = {rank}\n"
+            f"boundary = 1\n[cycles]\n{row}\n"
+        )
+    try:
+        doc = cli.parse(text)
+    except ParseError as err:
+        return err.line, err.reason
+    classes = doc.threefold.belt_classes if belt else doc.cycles
+    return [(type(c.coords), c.coords, c.ring, c._bits, c._high) for c in classes]
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(-1, 5).map(str), st.just("0" * 40)),
+        min_size=1,
+        max_size=7,
+    ),
+    st.integers(1, 4),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_bulk_rows_read_as_spaced_rows_do(entries, rank, belt):
+    # The canonical row is read in bulk when its entries are 0-3; spaces
+    # around its commas send the same row down the entry-by-entry path.
+    canonical = _read_row(",".join(entries), rank, belt)
+    assert canonical == _read_row(" , ".join(entries), rank, belt)
 
 
 def test_run_rejects_unknown_command():

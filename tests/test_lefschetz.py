@@ -9,6 +9,7 @@ import pytest
 
 import pinlef as P
 from pinlef import surfaces as sf
+from pinlef.constraints import ConstraintSystem
 from pinlef.errors import InputError, InvariantViolation
 from helpers import RANK_3_4_FIBERS, RANK_LE_2_FIBERS, sample_instances
 
@@ -34,6 +35,19 @@ def test_cycle_arity_and_ring_checked():
         P.LefschetzFibration(MOEBIUS, (P.z4_class([0, 0]),))
     with pytest.raises(InputError):
         P.LefschetzFibration(MOEBIUS, (P.z2_class([0]),))
+
+
+def test_systems_over_a_fibrations_checked_cycles():
+    # The deciders pass the cycles the fibration checked; the system is the
+    # one over the plain tuple, and still compares their length.
+    f = P.LefschetzFibration(P.orientable_surface(1, 1), (P.z4_class([1, 0]),))
+    for kind, target in (("minus", 2), ("plus", 1)):
+        system = ConstraintSystem(kind, f.fiber, f._checked, target)
+        assert system == ConstraintSystem(kind, f.fiber, f.cycles, target)
+        assert type(system.classes) is tuple
+        with pytest.raises(InputError) as err:
+            ConstraintSystem(kind, P.orientable_surface(1, 2), f._checked, target)
+        assert str(err.value) == "class 1 has 2 coordinates, expected 3"
 
 
 def test_no_cycles_is_legal():

@@ -364,6 +364,19 @@ def test_class_planes_are_its_coordinates(make):
     _check_planes(x, x.coords)
 
 
+@pytest.mark.parametrize("ring", ["Z2", "Z4"])
+def test_a_class_from_bytes_is_the_class_from_a_tuple(ring):
+    mod = 2 if ring == "Z2" else 4
+    coords = tuple(i * 7 % mod for i in range(70))
+    a, b = P.HomologyClass(ring, bytes(coords)), P.HomologyClass(ring, coords)
+    assert type(a.coords) is tuple and a.coords == coords
+    assert repr(a) == repr(b) and a == b and hash(a) == hash(b)
+    assert pickle.dumps(a) == pickle.dumps(b) and pickle.loads(pickle.dumps(a)) == b
+    assert (a._bits, a._high) == (b._bits, b._high)
+    assert type(a).__match_args__ == ("ring", "coords")
+    _check_planes(a, coords)
+
+
 @pytest.mark.parametrize("make", ENHANCEMENTS.values(), ids=ENHANCEMENTS)
 def test_enhancement_planes_are_its_values(make):
     q = make()

@@ -580,6 +580,18 @@ def test_surface_counts_take_ints_bools_and_numpy_integers():
         (lambda: P.HomologyClass("Z3", (1,)), "unknown coefficient ring 'Z3'"),
         (lambda: P.HomologyClass("Z2", (2,)), "coordinate 2 out of range for Z2 class"),
         (
+            lambda: P.HomologyClass("Z4", b"\x00\x04\x09"),
+            "coordinate 4 out of range for Z4 class",
+        ),
+        (
+            lambda: P.HomologyClass("Z2", b"\x01\x02"),
+            "coordinate 2 out of range for Z2 class",
+        ),
+        (
+            lambda: P.HomologyClass("Z4", (0, 300, -1)),
+            "coordinate 300 out of range for Z4 class",
+        ),
+        (
             lambda: P.z4_classes_equal(KLEIN, P.z2_class([1, 0]), P.z4_class([1, 0])),
             "z4_classes_equal compares Z4 classes",
         ),
@@ -607,6 +619,9 @@ def test_surface_counts_take_ints_bools_and_numpy_integers():
     ids=[
         "ring",
         "coordinate",
+        "bytes-coordinate",
+        "z2-bytes-coordinate",
+        "coordinate-over-255",
         "equal-z2",
         "equal-length",
         "minus-length",

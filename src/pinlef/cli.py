@@ -39,6 +39,7 @@ from . import surfaces as sf
 from . import lefschetz as lf
 from . import threefolds as tf
 from ._record import Record
+from .constraints import _walk
 from .errors import InputError, ParseError, PinlefError
 
 if TYPE_CHECKING:
@@ -170,7 +171,7 @@ def parse(text: str) -> InputDocument:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _SECTION_RE.match(line)
+        m = line[0] == "[" and _SECTION_RE.match(line)
         if m:
             name = m.group(1)
             if name not in _KEYS:
@@ -185,7 +186,7 @@ def parse(text: str) -> InputDocument:
         if section is None:
             raise ParseError(lineno, "content before any section header")
         if section == "cycles":
-            if _KEY_RE.match(line) and not re.match(r"^\d", line):
+            if "=" in line and _KEY_RE.match(line) and not re.match(r"^\d", line):
                 raise ParseError(lineno, "the cycles section holds residue rows only")
             cycles_rows.append((_parse_row(line, lineno), lineno))
             continue
@@ -398,13 +399,6 @@ def _decide(x, kind: str) -> lf.DecisionReport:
     return tf.decide_pin_plus_3mfd(x) if kind == "plus" else tf.solve_pin_minus_3mfd(x)
 
 
-def _brute(x, kind: str) -> list:
-    plus = kind == "plus"
-    if isinstance(x, lf.LefschetzFibration):
-        return lf.brute_force_pin_plus(x) if plus else lf.brute_force_pin_minus(x)
-    return tf.brute_force_pin_plus_3mfd(x) if plus else tf.brute_force_pin_minus_3mfd(x)
-
-
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -592,10 +586,14 @@ def _run_oracle(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
     text = []
     agree_all = True
     for k in _KINDS[kind]:
-        report, brute = _decide(x, k), _brute(x, k)
-        decided, exhaustive = report.structure_count, len(brute)
-        # Equal counts and one inclusion make the two sets equal.
-        agree = decided == exhaustive and all(q in report.structures for q in brute)
+        report, hits = _decide(x, k), x._system(k).hit_rows()
+        decided, exhaustive = report.structure_count, len(hits)
+        # The same rows in index order: the same set, in the order the
+        # structure set promises.
+        found = report.structures
+        agree = decided == exhaustive and (
+            not hits or list(_walk(found.first, found.kernel)) == hits
+        )
         agree_all = agree_all and agree
         word = "AGREE" if agree else "DISAGREE"
         pairs += [

@@ -326,29 +326,54 @@ class ConstraintSystem(Record):
     def _none(self) -> StructureSet:
         return StructureSet(self.kind, self.surface, None)
 
-    def brute_force(self) -> list:
-        """Every enhancement meeting the targets, by scanning all 2**rank.
+    def hit_rows(self) -> list[int]:
+        """The bit row of every enhancement meeting the targets, in index
+        order, found by testing each of the 2**rank candidates.
 
         Candidate t stands for q0 acted on by the bits of t, which moves
         q0's value on a class c by step * popcount(c & t).  Each class is
-        thus a parity test on t; the scan runs over plain ints, stops at a
-        candidate's first miss and builds only the hits.
+        thus a parity test on t, and t is a hit when its tests, bit i for
+        class i, equal ``want``.  Column p holds the classes with bit p
+        set, so t's tests are the XOR of the columns its bits pick.  With
+        t = h << k | l and k = rank // 2, one list holds the tests of
+        every low part l; for each high part, ``list.index`` walks that
+        list at C speed for the low parts completing it to ``want``.
+        Every candidate is compared once, and nothing is eliminated.
         """
         s = self.surface
         if self.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
             return []
         cls, evaluate = _KINDS[self.kind]
-        pres, tests = sf.homology_presentation(s), []
-        for c in self.classes:
+        pres, r = sf.homology_presentation(s), s.z2_rank
+        want, columns = 0, [0] * r
+        for i, c in enumerate(self.classes):
             gap, odd = divmod(self.target - evaluate(0, c, pres), cls.step)
-            if odd:  # no candidate meets c, so none reaches a later class
+            if odd:  # no candidate meets c
                 return []
-            tests.append((c._bits, gap % 2))
-        r, hits = s.z2_rank, []
-        for t in range(1 << r):
-            for mask, parity in tests:
-                if (mask & t).bit_count() & 1 != parity:
-                    break
-            else:
-                hits.append(t)
-        return _structures(self.kind, s, hits)
+            want |= (gap & 1) << i
+            for p in range(r):
+                columns[p] |= (c._bits >> p & 1) << i
+        k, hits = r // 2, []
+        low = _tests(columns[:k])
+        for h, top in enumerate(_tests(columns[k:])):
+            x, i = want ^ top, -1
+            try:
+                while True:
+                    i = low.index(x, i + 1)
+                    hits.append(h << k | i)
+            except ValueError:
+                pass
+        return hits
+
+    def brute_force(self) -> list:
+        """Every enhancement meeting the targets, built from
+        :meth:`hit_rows`' scan of all 2**rank candidates."""
+        return _structures(self.kind, self.surface, self.hit_rows())
+
+
+def _tests(columns: list[int]) -> list[int]:
+    """Item l is the XOR of the columns that the bits of l pick."""
+    out = [0]
+    for col in columns:
+        out += [x ^ col for x in out]
+    return out

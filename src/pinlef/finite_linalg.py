@@ -23,19 +23,34 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import product
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Annotated, ForwardRef, Iterator, Sequence
 
 from ._record import Record
 from .errors import InputError
 
+# A MatGF2/VecGF2 is a read-only uint8 array with entries in {0,1}; a
+# MatZ4 has entries in {0,1,2,3}.
 if TYPE_CHECKING:
     import numpy as np
 
-    # A MatGF2/VecGF2 is a read-only uint8 array with entries in {0,1}; a
-    # MatZ4 has entries in {0,1,2,3}.
     MatGF2 = np.ndarray
     VecGF2 = np.ndarray
     MatZ4 = np.ndarray
+else:
+
+    class _Numpy:
+        """numpy, loaded when a name is first read from it."""
+
+        def __getattr__(self, name):
+            return getattr(load_numpy(), name)
+
+    # typing.get_type_hints resolves np.ndarray here from any module's
+    # annotations, loading numpy only then; Annotated makes the aliases
+    # usable in X | Y on Python 3.10, whose ForwardRef has no __or__.
+    np = _Numpy()
+    _ARRAY = ForwardRef("np.ndarray", module=__name__)
+    MatGF2 = VecGF2 = Annotated[_ARRAY, "entries in {0,1}"]
+    MatZ4 = Annotated[_ARRAY, "entries in {0,1,2,3}"]
 
 # Bytes to the ASCII digit of their bit 0 or bit 1, and 0/1 digits back.
 _PARITY_DIGITS = bytes.maketrans(bytes(range(256)), b"01" * 128)

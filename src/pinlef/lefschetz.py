@@ -20,7 +20,7 @@ and serves as an independent oracle for the linear-algebra route.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, ForwardRef, NamedTuple
 
 from . import finite_linalg as fl
 from . import surfaces as sf
@@ -36,6 +36,13 @@ from .errors import InputError, InvariantViolation
 
 if TYPE_CHECKING:
     from .charclasses import EmbeddedSurfaceData
+else:
+    import pinlef
+
+    # The package loads charclasses, and dataclasses with it, when the name
+    # is first read from it (PEP 562), so typing.get_type_hints resolves it
+    # without this module loading them.
+    EmbeddedSurfaceData = ForwardRef("pinlef.EmbeddedSurfaceData", module=__name__)
 
 
 class LefschetzFibration(Record):
@@ -69,6 +76,12 @@ class LefschetzFibration(Record):
                     "self-intersection; vanishing cycles are two-sided"
                 )
         object.__setattr__(self, "_checked", CheckedClasses(self.cycles))
+
+    def _system(self, kind: str) -> ConstraintSystem:
+        """The fiber's enhancements of ``kind`` taking the value 2 (minus)
+        or 1 (plus) on every cycle."""
+        target = 2 if kind == "minus" else 1
+        return ConstraintSystem(kind, self.fiber, self._checked, target)
 
     def z2_cycle_matrix(self) -> fl.MatGF2:
         """Mod-2 reductions of the cycles, one row per cycle."""
@@ -138,7 +151,7 @@ def decide_pin_minus(f: LefschetzFibration) -> DecisionReport:
         witness = _witness_from_combination(f, y)
         return witness.describe(f), witness
 
-    return ConstraintSystem("minus", f.fiber, f._checked, 2).decide(certify)
+    return f._system("minus").decide(certify)
 
 
 def decide_pin_plus(f: LefschetzFibration) -> DecisionReport:
@@ -149,7 +162,7 @@ def decide_pin_plus(f: LefschetzFibration) -> DecisionReport:
     exactly when the cycle matrix and its augmentation have equal rank.
     A fiber with no Pin+ structure obstructs immediately.
     """
-    system = ConstraintSystem("plus", f.fiber, f._checked, 1)
+    system = f._system("plus")
     obstruction = sf.pin_plus_obstruction(f.fiber)
     if obstruction is not None:
         return system.refuse(f"fiber has no Pin+ structure: {obstruction}")
@@ -187,12 +200,12 @@ def pin_minus_witness_search(f: LefschetzFibration) -> ObstructionWitness | None
 
 def brute_force_pin_minus(f: LefschetzFibration) -> list[sf.EnhancementMinus]:
     """All minus enhancements taking the value 2 on every cycle (2**rank scan)."""
-    return ConstraintSystem("minus", f.fiber, f._checked, 2).brute_force()
+    return f._system("minus").brute_force()
 
 
 def brute_force_pin_plus(f: LefschetzFibration) -> list[sf.EnhancementPlus]:
     """All plus enhancements taking the value 1 on every cycle (2**rank scan)."""
-    return ConstraintSystem("plus", f.fiber, f._checked, 1).brute_force()
+    return f._system("plus").brute_force()
 
 
 class SphereVerdicts(NamedTuple):

@@ -396,7 +396,10 @@ class _Enhancement(Record):
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "values", v := _integers(values, "value"))
         self.__post_init__()
-        vars(self).update(_bits=fl.pack_bits(v), _high=fl.high_bits(v))
+        # Set like the fields, as HomologyClass does, to keep the instance
+        # dict's keys shared.
+        object.__setattr__(self, "_bits", fl.pack_bits(v))
+        object.__setattr__(self, "_high", fl.high_bits(v))
 
     def __post_init__(self):
         pres = homology_presentation(self.surface)

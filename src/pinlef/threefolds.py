@@ -92,6 +92,11 @@ class HandlebodyDecomposition3(Record):
         """Names of the listed classes: a1..ag attaching, then b1..bg belt."""
         return tuple([f"{side}{j}" for side in "ab" for j in range(1, self.genus + 1)])
 
+    def _system(self, kind: str) -> ConstraintSystem:
+        """The boundary's enhancements of ``kind`` vanishing on every
+        listed class."""
+        return ConstraintSystem(kind, self.boundary, self._checked, 0)
+
     def z2_class_matrix(self) -> fl.MatGF2:
         return z2_rows(self.boundary, self.listed_classes()).to_array()
 
@@ -107,9 +112,8 @@ def decide_pin_plus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:
     """
     # 2g crosscaps is even, so the boundary always carries Pin+ and the
     # plus system never refuses it here.
-    system = ConstraintSystem("plus", d.boundary, d._checked, 0)
     reason = "no enhancement vanishes on all attaching and belt classes"
-    return system.decide(rank_mismatch(reason))
+    return d._system("plus").decide(rank_mismatch(reason))
 
 
 def solve_pin_minus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:
@@ -128,7 +132,7 @@ def solve_pin_minus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:
             f"inconsistent subset: {names}"
         ), None
 
-    return ConstraintSystem("minus", d.boundary, d._checked, 0).decide(certify)
+    return d._system("minus").decide(certify)
 
 
 def construct_pin_minus_3mfd(d: HandlebodyDecomposition3) -> sf.EnhancementMinus:
@@ -152,11 +156,11 @@ def construct_pin_minus_3mfd(d: HandlebodyDecomposition3) -> sf.EnhancementMinus
 
 def brute_force_pin_plus_3mfd(d: HandlebodyDecomposition3) -> list[sf.EnhancementPlus]:
     """All plus enhancements vanishing on the listed classes (2**(2g) scan)."""
-    return ConstraintSystem("plus", d.boundary, d._checked, 0).brute_force()
+    return d._system("plus").brute_force()
 
 
 def brute_force_pin_minus_3mfd(
     d: HandlebodyDecomposition3,
 ) -> list[sf.EnhancementMinus]:
     """All minus enhancements vanishing on the listed classes (2**(2g) scan)."""
-    return ConstraintSystem("minus", d.boundary, d._checked, 0).brute_force()
+    return d._system("minus").brute_force()

@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, product
 
 import pinlef as P
+from pinlef import constraints as cs
 from pinlef import surfaces as sf
 
 # Representative fibers, grouped by mod-2 homology rank.
@@ -163,3 +164,27 @@ def handle_slide(classes, i, j, times) -> list[tuple[int, ...]]:
     out = [tuple(c) for c in classes]
     out[i] = tuple((a + times * b) % 4 for a, b in zip(out[i], out[j]))
     return out
+
+
+def candidate_hit_rows(system) -> list[int]:
+    """The bit rows ``system.hit_rows()`` lists, one candidate at a time:
+    candidate t moves q0's value on a class c by step * popcount(c & t),
+    so each class is a parity test on t, tried until t's first miss."""
+    s = system.surface
+    if system.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
+        return []
+    cls, evaluate = cs._KINDS[system.kind]
+    pres, tests = sf.homology_presentation(s), []
+    for c in system.classes:
+        gap, odd = divmod(system.target - evaluate(0, c, pres), cls.step)
+        if odd:  # no candidate meets c
+            return []
+        tests.append((c._bits, gap % 2))
+    hits = []
+    for t in range(1 << s.z2_rank):
+        for mask, parity in tests:
+            if (mask & t).bit_count() & 1 != parity:
+                break
+        else:
+            hits.append(t)
+    return hits

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import pinlef as P
 from pinlef import cli
 from pinlef import finite_linalg as fl
+from pinlef.constraints import DecisionReport, StructureSet
 from pinlef.errors import InputError, ParseError
 
 RP4_TEXT = """\
@@ -273,6 +274,54 @@ def test_oracle_agrees_on_examples():
         text, status = cli.run("oracle", doc, kind="both")
         assert "DISAGREE" not in text
         assert status == 0
+
+
+# Rank 4 with one cycle: both kinds have 8 structures, 3 kernel rows.
+_GENUS_2_TEXT = """\
+[surface]
+kind = orientable
+genus = 2
+boundary = 1
+
+[cycles]
+1,0,0,0
+"""
+
+
+def _drop_row(first, kernel):
+    return first, kernel[1:]
+
+
+def _flip_bit(first, kernel):
+    return first ^ 1, kernel
+
+
+def _swap_rows(first, kernel):
+    # The same count and the same set, listed in another order.
+    return first, (kernel[1], kernel[0], *kernel[2:])
+
+
+@pytest.mark.parametrize("mutate", [_drop_row, _flip_bit, _swap_rows])
+@pytest.mark.parametrize("kind", ["minus", "plus"])
+def test_oracle_disagrees_with_a_wrong_decider(monkeypatch, kind, mutate):
+    doc = cli.parse(_GENUS_2_TEXT)
+    text, status = cli.run("oracle", doc, kind=kind)
+    assert text.endswith("overall: AGREE\n") and status == 0
+    decide = cli._decide
+
+    def wrong(x, k):
+        report = decide(x, k)
+        s = report.structures
+        assert len(s.kernel) == 3
+        found = StructureSet(s.kind, s.surface, *mutate(s.first, s.kernel))
+        return DecisionReport(k, True, found.count, found, report.h1_annihilator_dim)
+
+    monkeypatch.setattr(cli, "_decide", wrong)
+    text, status = cli.run("oracle", doc, kind=kind)
+    sign = "+" if kind == "plus" else "-"
+    assert f"oracle Pin{sign}: DISAGREE (decider " in text
+    assert text.endswith("overall: DISAGREE\n")
+    assert status == 1
 
 
 def test_oracle_rank_guard():

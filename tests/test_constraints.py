@@ -15,7 +15,7 @@ from pinlef import surfaces as sf
 from pinlef import threefolds as tf
 from pinlef.constraints import ConstraintSystem
 from pinlef.errors import InputError, InvariantViolation
-from helpers import random_decomposition
+from helpers import candidate_hit_rows, random_decomposition
 
 
 @pytest.fixture
@@ -548,6 +548,41 @@ def test_brute_force_equals_the_filter_over_every_enhancement(seed):
                 found = system.brute_force()
                 assert found == _filtered(system)
                 hits.add(bool(found))
+    assert hits == {True, False}
+
+
+def _surfaces_of_rank(r):
+    """A sphere with r + 1 holes, a closed surface with r crosscaps (no
+    Pin+ when r is odd) and, for even r, a closed orientable surface."""
+    out = [P.orientable_surface(0, r + 1)]
+    if r:
+        out.append(P.non_orientable_surface(r, 0))
+    if r and r % 2 == 0:
+        out.append(P.orientable_surface(r // 2, 0))
+    return out
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+def test_hit_rows_list_the_candidate_loop_in_order(seed):
+    rng = random.Random(seed)
+    hits = set()
+    for r in range(13):
+        for surface in _surfaces_of_rank(r):
+            pluses = sf.pin_plus_obstruction(surface) is None
+            draws = [()]
+            for _ in range(2):
+                rows = [[rng.randrange(4) for _ in range(r)] for _ in range(r + 2)]
+                draws.append(tuple(map(P.z4_class, rows[: rng.randint(1, r + 2)])))
+            for classes in draws:
+                for kind, step in (("minus", 2), ("plus", 1)):
+                    for target in range(2 * step):
+                        system = ConstraintSystem(kind, surface, classes, target)
+                        found = system.hit_rows()
+                        assert found == candidate_hit_rows(system), (surface, kind)
+                        hits.add(bool(found))
+                        if not classes and (kind == "minus" or pluses):
+                            # With no class to miss, every candidate is a hit.
+                            assert found == list(range(1 << r))
     assert hits == {True, False}
 
 

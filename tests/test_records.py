@@ -249,6 +249,30 @@ except AttributeError as e:
 else:
     raise AssertionError("no AttributeError")
 """
+    _run_fresh(script)
+
+
+def test_annotations_of_every_export_resolve():
+    # A fresh process: the modules behind every export load without numpy
+    # or charclasses, and their annotations still resolve, loading them.
+    script = """
+import sys, typing
+import pinlef
+from pinlef import cli, constraints, finite_linalg, lefschetz, threefolds
+unloaded = {"numpy", "dataclasses", "pinlef.charclasses"}
+assert not unloaded & set(sys.modules)
+hints = typing.get_type_hints(pinlef.decide_pin_over_s2)
+assert hints["dual_surface"] is pinlef.EmbeddedSurfaceData, hints
+hints = typing.get_type_hints(pinlef.fibration_h1_annihilator)
+assert hints["return"] == list[sys.modules["numpy"].ndarray], hints
+for name in pinlef.__all__:
+    typing.get_type_hints(getattr(pinlef, name))
+"""
+    _run_fresh(script)
+
+
+def _run_fresh(script: str) -> None:
+    """Run ``script`` in a fresh interpreter that imports this package."""
     src = str(Path(P.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(

@@ -384,13 +384,15 @@ def _mode(doc: InputDocument) -> str:
 
 def _subject(doc: InputDocument):
     """The fibration or threefold the deciders read, built and checked once
-    per command."""
+    per command.  Its elimination, which both kinds share, lives as long as
+    it does, so no command reads one left by another on the document."""
     if doc.threefold is None:
         return lf.LefschetzFibration(doc.surface, doc.cycles or ())
     if doc.cycles is not None or doc.embedded_surfaces:
         extra = "cycles" if doc.cycles is not None else "embedded-surface"
         raise InputError(f"a threefold document takes no [{extra}] section")
-    return doc.threefold
+    d = doc.threefold
+    return tf.HandlebodyDecomposition3(d.genus, d.attaching_classes, d.belt_classes)
 
 
 def _decide(x, kind: str) -> lf.DecisionReport:

@@ -3,15 +3,18 @@
 Each question asks for an enhancement q = q0 + correction of a surface
 taking one value on every listed class; a correction bit moves a value by
 the kind's ``step`` (2 for minus, 1 for plus).  Row i of C is the mod-2
-reduction of class i and A_i is (target - q0(c_i)) / step mod 2.  One
-elimination of [C | A | I] gives rank(C) and either every solution or
-a row combination y with y.C = 0 and y.A = 1.
+reduction of class i and A_i is (target - q0(c_i)) / step mod 2.  Both
+kinds' systems on one fibration or threefold share C, and one
+elimination of [C' | I] (C' being C with its columns reversed) serves
+them both: each reads its A off that echelon, giving rank(C) and either
+every solution or a row combination y with y.C = 0 and y.A = 1.
 """
 
 from __future__ import annotations
 
 import operator
 import sys
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import finite_linalg as fl
@@ -52,6 +55,16 @@ def _walk(first: int, rows) -> Iterator[int]:
         yield first
 
 
+def _tile(row: int, bits: int, n: int) -> int:
+    """n copies of a row narrower than ``bits``, ``bits`` apart, n being a
+    power of 2: shifts and ORs that double the copies, where row * repeat
+    would multiply by an int as long as the result."""
+    while n > 1:
+        row |= row << bits
+        bits, n = 2 * bits, n // 2
+    return row
+
+
 def _spread(kind: str, s: sf.SurfaceModel, first: int, rows, gap: int = 1):
     """The values of the structure of ``kind`` on s that the bit row first
     names, and the values each bit row in rows adds (step at its bits), as
@@ -81,7 +94,7 @@ class StructureSet(Record):
     """The solutions of a system, described without listing them.
 
     ``first`` and ``kernel`` are the particular solution and the kernel
-    basis :func:`fl.eliminate_bits` returns, bit rows over the generators:
+    basis :meth:`fl.Echelon.solve` returns, bit rows over the generators:
     bit j moves generator j's base value by the kind's ``step``, as
     :func:`sf.act_h1` does.  ``first`` is the smallest structure's row
     (None when there is none) and the kernel rows, in RREF order, each
@@ -176,17 +189,15 @@ class StructureSet(Record):
         first, rows = _spread(self.kind, self.surface, self.first, self.kernel, 2)
         width, d = len(template), len(rows)
         m = max(0, min(d, (_PIECE // width).bit_length() - 1))
-        # A block of 2**m lines, doubled once per low kernel row; ``repeat``
-        # puts one line's value on every line of the block.
-        block = int.from_bytes(template, "big") ^ first
-        n = repeat = 1
+        # A block of 2**m lines, doubled once per low kernel row, each row
+        # tiled onto every line of the block before it is added.
+        block, line = int.from_bytes(template, "big") ^ first, 8 * width
+        n = 1
         for row in reversed(rows[d - m :]):
-            shift = 8 * width * n
-            block = (block << shift) | (block ^ row * repeat)
-            repeat |= repeat << shift
+            block = (block << line * n) | (block ^ _tile(row, line, n))
             n *= 2
         # The walk over the other rows XORs each onto every line at once.
-        high = [row * repeat for row in rows[: d - m]]
+        high = [_tile(row, line, n) for row in rows[: d - m]]
         for b in _walk(block, high):
             yield b.to_bytes(width * n, "big").decode()[:-1]
 
@@ -237,10 +248,21 @@ def rank_mismatch(reason: str) -> Callable[[int, list[int]], tuple]:
 
 
 class CheckedClasses(tuple):
-    """Z4 classes that all have one number of coordinates, as a fibration
-    or a threefold checks its classes when it is made."""
+    """Z4 classes that all have ``ncols`` coordinates, as a fibration or a
+    threefold checks its classes when it is made.  Both kinds' systems on
+    them read one :attr:`echelon`, eliminated when first asked for."""
 
-    __slots__ = ()
+    def __new__(cls, classes, ncols: int):
+        self = super().__new__(cls, classes)
+        self.ncols = ncols
+        return self
+
+    def __getnewargs__(self):
+        return tuple(self), self.ncols
+
+    @cached_property
+    def echelon(self) -> fl.Echelon:
+        return fl.echelon_bits(fl.BitRows(tuple([c._bits for c in self]), self.ncols))
 
 
 class ConstraintSystem(Record):
@@ -249,7 +271,8 @@ class ConstraintSystem(Record):
     ``classes``, in row order.  Each class is checked when the system is
     made: a Z4 class (minus also reads Z2 ones) with one coordinate per
     generator.  Of :class:`CheckedClasses`, checked once already, only the
-    coordinate count is compared with the surface."""
+    coordinate count is compared with the surface, and every system on
+    them reads their one echelon."""
 
     def __init__(
         self,
@@ -263,9 +286,9 @@ class ConstraintSystem(Record):
         target = sf.as_integer(target, "target")
         if not 0 <= target < 2 * _KINDS[kind][0].step:
             raise InputError(f"target {target} is not a {kind} enhancement value")
-        checked = classes.__class__ is CheckedClasses
-        classes, r = tuple(classes), surface.z2_rank
-        if not checked or classes and len(classes[0].coords) != r:
+        r = surface.z2_rank
+        if classes.__class__ is not CheckedClasses or classes.ncols != r:
+            classes = CheckedClasses(classes, r)
             rings = ("Z2", "Z4") if kind == "minus" else ("Z4",)
             for n, c in enumerate(classes, start=1):
                 if not isinstance(c, sf.HomologyClass) or c.ring not in rings:
@@ -276,8 +299,9 @@ class ConstraintSystem(Record):
                     )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "classes", tuple(classes))
         object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_checked", classes)
 
     def decide(self, certify: Callable[[int, list[int]], tuple]) -> DecisionReport:
         """Solve the system once; describe every structure or certify a NO.
@@ -292,7 +316,7 @@ class ConstraintSystem(Record):
         if self.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
             raise InvariantViolation(sf.NOT_WELL_DEFINED)
         cls, evaluate = _KINDS[self.kind]
-        pres, rhs = sf.homology_presentation(s), []
+        pres, want = sf.homology_presentation(s), 0
         for n, c in enumerate(self.classes, start=1):
             gap, odd = divmod(self.target - evaluate(0, c, pres), cls.step)
             if odd:  # q(c) = q0(c) mod step for every q
@@ -301,10 +325,10 @@ class ConstraintSystem(Record):
                     f"no {self.kind} enhancement takes the value {self.target} "
                     f"on class {n} ({txt})"
                 )
-            rhs.append(gap % 2)
-        C = z2_rows(s, self.classes)
-        rank, particular, kernel, y = fl.eliminate_bits(C, rhs)
-        n, r = C.shape
+            want = want << 1 | gap & 1
+        echelon = self._checked.echelon
+        rank, particular, kernel, y = echelon.solve(want)
+        n, r = echelon.shape
         dim = r - rank
         if particular is None:
             certificate, witness = certify(rank, fl.set_columns(y, n))
@@ -317,11 +341,9 @@ class ConstraintSystem(Record):
     def refuse(self, certificate: str) -> DecisionReport:
         """A NO settled before any system is solved, for a surface that
         carries no enhancement of this kind at all."""
-        C = z2_rows(self.surface, self.classes)
-        rank, _, _ = fl.rref_gf2(C)
-        return DecisionReport(
-            self.kind, False, 0, self._none(), C.ncols - rank, certificate
-        )
+        echelon = self._checked.echelon
+        dim = echelon.shape[1] - echelon.rank
+        return DecisionReport(self.kind, False, 0, self._none(), dim, certificate)
 
     def _none(self) -> StructureSet:
         return StructureSet(self.kind, self.surface, None)

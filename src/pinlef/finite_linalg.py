@@ -241,10 +241,92 @@ def _rref_bits(m: BitRows) -> tuple[int, BitRows, list[int]]:
     return len(leads), BitRows(rows, m.ncols), [m.ncols - lead for lead in leads]
 
 
+class Echelon(Record):
+    """The targets-free half of :func:`eliminate_bits` for a mod-2 matrix C
+    of ``shape``: the reduced row-echelon form of [C' | I], C' being C
+    with its columns reversed, one int per row of C.
+
+    The I block, bit nrows - 1 - i for row i of C, records which rows of
+    C each echelon row sums.  ``rows[:rank]`` lead in C' at
+    ``pivot_cols``; the other rows are zero in C', and their I parts are
+    a basis of {y : y.C = 0}.  One echelon serves every right-hand side:
+    :meth:`solve` reads each one off it.
+    """
+
+    def __init__(
+        self,
+        shape: tuple[int, int],
+        rank: int,
+        rows: tuple[int, ...],
+        pivot_cols: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivot_cols", pivot_cols)
+
+    def solve(
+        self, want: int
+    ) -> tuple[int, int | None, tuple[int, ...], int | None]:
+        """:func:`eliminate_bits` for the targets packed in ``want``, the
+        target of row i at bit nrows - 1 - i.
+
+        An echelon row's target is the parity of the targets of the rows
+        it sums, ``(row & want).bit_count() & 1``.  When no zero-C' row
+        has target 1, A is no pivot column of [C' | A | I]; deleting it
+        from that RREF leaves this one, so the pivot rows, read with
+        their targets, give the particular solution and the kernel.
+        Otherwise the zero-C' rows with their targets prepended span
+        {(y.A, y) : y.C = 0}, whose RREF is the zero-C' block of
+        [C' | A | I]'s: its first row leads at A, and its I part is y.
+        """
+        (nrows, ncols), rank = self.shape, self.rank
+        null = [(row & want).bit_count() & 1 for row in self.rows[rank:]]
+        if any(null):
+            rows = tuple([a << nrows | row for a, row in zip(null, self.rows[rank:])])
+            _, reduced, _ = _rref_bits(BitRows(rows, nrows + 1))
+            return rank, None, (), reduced.rows[0] & ((1 << nrows) - 1)
+
+        # Pivot p of C' is C's column ncols - 1 - p, bit p of a solution; its
+        # row's other C' bits are free columns.  Keyed by f, rows are in RREF order.
+        pivots = {ncols - 1 - p for p in self.pivot_cols}
+        vectors = {f: 1 << (ncols - 1 - f) for f in range(ncols) if f not in pivots}
+        particular = 0
+        for p, row in zip(self.pivot_cols, self.rows):
+            if (row & want).bit_count() & 1:
+                particular |= 1 << p
+            rest = row >> nrows ^ 1 << (ncols - 1 - p)
+            while rest:
+                f = rest.bit_length() - 1
+                vectors[f] |= 1 << p
+                rest ^= 1 << f
+        return rank, particular, tuple(vectors.values()), None
+
+
+def echelon_bits(C: BitRows) -> Echelon:
+    """One Gauss-Jordan pass over [C' | I], the :class:`Echelon` of C."""
+    nrows, ncols = C.shape
+    # C' holds C's column j at bit j: each row's bits in reverse order.
+    nbytes, pad = -(-ncols // 8), -ncols % 8
+    flipped = [
+        int.from_bytes(row.to_bytes(nbytes, "little").translate(_REVERSED), "big")
+        >> pad
+        for row in C.rows
+    ]
+    aug = BitRows(
+        tuple([x << nrows | 1 << (nrows - 1 - i) for i, x in enumerate(flipped)]),
+        ncols + nrows,
+    )
+    _, reduced, pivot_cols = rref_gf2(aug)
+    rank = bisect_left(pivot_cols, ncols)
+    return Echelon(C.shape, rank, reduced.rows, tuple(pivot_cols[:rank]))
+
+
 def eliminate_bits(
     C: BitRows, targets: Sequence[int]
 ) -> tuple[int, int | None, tuple[int, ...], int | None]:
-    """Decide C x = A over Z2 with one Gauss-Jordan pass over [C' | A | I].
+    """Decide C x = A over Z2: :func:`echelon_bits` eliminates C once, and
+    :meth:`Echelon.solve` reads A off it.
 
     ``targets`` holds A, one bit per row of C.  Returns
     (rank(C), particular, kernel, y), packed like BitRows rows.  When the
@@ -254,9 +336,10 @@ def eliminate_bits(
     None, ``kernel`` is empty and y (over C's rows, row 0 most
     significant) picks rows with y.C = 0 and y.A = 1.
 
-    C' is C with its columns reversed, so the pass settles C's columns
-    right to left: column f is free exactly when it is a sum of columns to
-    its right, that is when a homogeneous solution leads at f, so the free
+    The result is that of one Gauss-Jordan pass over [C' | A | I].  C' is
+    C with its columns reversed, so the pass settles C's columns right to
+    left: column f is free exactly when it is a sum of columns to its
+    right, that is when a homogeneous solution leads at f, so the free
     columns are the pivots of the kernel's RREF.  Free f gives the kernel
     row f plus the pivots whose rows have f set; a pivot row's other bits
     lie left of its pivot, so these rows are that RREF already, and the
@@ -269,44 +352,12 @@ def eliminate_bits(
     Raises:
         InputError: row count of C and length of targets disagree.
     """
-    nrows, ncols = C.shape
+    nrows = len(C.rows)
     if len(targets) != nrows:
         raise InputError(
             f"system has {nrows} rows but right-hand side has length {len(targets)}"
         )
-    # C' holds C's column j at bit j: each row's bits in reverse order.
-    nbytes, pad = -(-ncols // 8), -ncols % 8
-    flipped = [
-        int.from_bytes(row.to_bytes(nbytes, "little").translate(_REVERSED), "big")
-        >> pad
-        for row in C.rows
-    ]
-    aug = BitRows(
-        tuple([
-            (x << 1 | a) << nrows | 1 << (nrows - 1 - i)
-            for i, (x, a) in enumerate(zip(flipped, targets))
-        ]),
-        ncols + 1 + nrows,
-    )
-    _, reduced, pivot_cols = rref_gf2(aug)
-    rank = bisect_left(pivot_cols, ncols)
-    if rank < len(pivot_cols) and pivot_cols[rank] == ncols:
-        return rank, None, (), reduced.rows[rank] & ((1 << nrows) - 1)
-
-    # Pivot p of C' is C's column ncols - 1 - p, bit p of a solution; its
-    # row's other C' bits are free columns.  Keyed by f, rows are in RREF order.
-    pivots = {ncols - 1 - p for p in pivot_cols[:rank]}
-    vectors = {f: 1 << (ncols - 1 - f) for f in range(ncols) if f not in pivots}
-    particular = 0
-    for p, row in zip(pivot_cols, reduced.rows[:rank]):
-        if row >> nrows & 1:
-            particular |= 1 << p
-        rest = row >> (nrows + 1) ^ 1 << (ncols - 1 - p)
-        while rest:
-            f = rest.bit_length() - 1
-            vectors[f] |= 1 << p
-            rest ^= 1 << f
-    return rank, particular, tuple(vectors.values()), None
+    return echelon_bits(C).solve(pack_bits(targets))
 
 
 def annihilator_gf2(rows: MatGF2) -> list[VecGF2]:

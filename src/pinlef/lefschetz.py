@@ -75,7 +75,7 @@ class LefschetzFibration(Record):
                     f"cycle {n} ({sf.format_class(pres, c.coords)}) has odd "
                     "self-intersection; vanishing cycles are two-sided"
                 )
-        object.__setattr__(self, "_checked", CheckedClasses(self.cycles))
+        object.__setattr__(self, "_checked", CheckedClasses(self.cycles, pres.z2_rank))
 
     def _system(self, kind: str) -> ConstraintSystem:
         """The fiber's enhancements of ``kind`` taking the value 2 (minus)

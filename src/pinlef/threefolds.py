@@ -78,7 +78,8 @@ class HandlebodyDecomposition3(Record):
                         f"{label} class {n} has odd self-intersection; "
                         "curves bounding disks are two-sided"
                     )
-        object.__setattr__(self, "_checked", CheckedClasses(self.listed_classes()))
+        checked = CheckedClasses(self.listed_classes(), pres.z2_rank)
+        object.__setattr__(self, "_checked", checked)
 
     @property
     def boundary(self) -> sf.SurfaceModel:

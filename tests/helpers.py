@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement, product
 
 import pinlef as P
 from pinlef import constraints as cs
+from pinlef import finite_linalg as fl
 from pinlef import surfaces as sf
 
 # Representative fibers, grouped by mod-2 homology rank.
@@ -188,3 +189,34 @@ def candidate_hit_rows(system) -> list[int]:
         else:
             hits.append(t)
     return hits
+
+
+def augmented_elimination(C, targets):
+    """``fl.eliminate_bits(C, targets)`` as one Gauss-Jordan pass over
+    [C' | A | I] for this one right-hand side, C' being C with its columns
+    reversed: the pivot rows give the particular solution and the kernel,
+    and a pivot in the A column gives y, its row's I part."""
+    nrows, ncols = C.shape
+    flipped = [int(format(row, f"0{ncols}b")[::-1] or "0", 2) for row in C.rows]
+    aug = fl.BitRows(
+        tuple(
+            (x << 1 | a) << nrows | 1 << (nrows - 1 - i)
+            for i, (x, a) in enumerate(zip(flipped, targets))
+        ),
+        ncols + 1 + nrows,
+    )
+    _, reduced, pivot_cols = fl.rref_gf2(aug)
+    rank = sum(p < ncols for p in pivot_cols)
+    if rank < len(pivot_cols) and pivot_cols[rank] == ncols:
+        return rank, None, (), reduced.rows[rank] & ((1 << nrows) - 1)
+    pivots = {ncols - 1 - p for p in pivot_cols[:rank]}
+    vectors = {f: 1 << (ncols - 1 - f) for f in range(ncols) if f not in pivots}
+    particular = 0
+    for p, row in zip(pivot_cols, reduced.rows[:rank]):
+        if row >> nrows & 1:
+            particular |= 1 << p
+        rest = row >> (nrows + 1) ^ 1 << (ncols - 1 - p)
+        for f in range(ncols):
+            if rest >> f & 1:
+                vectors[f] |= 1 << p
+    return rank, particular, tuple(vectors.values()), None

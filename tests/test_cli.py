@@ -417,8 +417,8 @@ def test_sphere_mode_matches_decide_pin_over_s2(disk_text):
         assert f"Pin- over S2: {'YES' if verdicts.pin_minus else 'NO'}" in text
 
 
-@pytest.mark.parametrize("kind, eliminations", [("both", 2), ("minus", 1)])
-def test_sphere_mode_decides_each_kind_once(monkeypatch, kind, eliminations):
+@pytest.fixture
+def rref_calls(monkeypatch):
     calls = []
     original = fl.rref_gf2
 
@@ -427,12 +427,49 @@ def test_sphere_mode_decides_each_kind_once(monkeypatch, kind, eliminations):
         return original(m)
 
     monkeypatch.setattr(fl, "rref_gf2", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, eliminations", [("both", 1), ("minus", 1)])
+def test_sphere_mode_decides_each_kind_once(rref_calls, kind, eliminations):
+    calls = rref_calls
     counts = []
     for text in (SPHERE_TEXT, _DISK_TEXTS[1]):
         calls.clear()
         cli.run("decide", cli.parse(text), kind=kind)
         counts.append(len(calls))
     assert counts == [eliminations, eliminations]
+
+
+# A closed fiber with three crosscaps carries no Pin+ structure, so its
+# plus decision is refused; the refusal reads the rank off the same pass.
+_ODD_CLOSED_TEXT = """\
+[surface]
+kind = non-orientable
+crosscaps = 3
+boundary = 0
+
+[cycles]
+1,1,0
+2,1,1
+"""
+
+
+@pytest.mark.parametrize("kind", ["both", "minus", "plus"])
+@pytest.mark.parametrize("command", ["decide", "enumerate", "oracle"])
+@pytest.mark.parametrize(
+    "text",
+    [RP4_TEXT, THREEFOLD_TEXT, _ODD_CLOSED_TEXT, _GENUS_2_TEXT],
+    ids=["rp4", "threefold", "odd-closed", "genus-2"],
+)
+def test_each_command_eliminates_the_classes_once(rref_calls, text, command, kind):
+    # Both kinds' systems share the subject's classes, and so one pass over
+    # [C' | I]; a NO reads its witness off that pass without another.  A
+    # second command on the document reads nothing the first one left.
+    doc = cli.parse(text)
+    for n in (1, 2):
+        cli.run(command, doc, kind)
+        assert len(rref_calls) == n
 
 
 @pytest.mark.parametrize("command", ["decide", "enumerate", "oracle"])

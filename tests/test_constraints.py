@@ -7,6 +7,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pinlef as P
 from pinlef import finite_linalg as fl
@@ -86,6 +88,56 @@ def test_cases_cover_trivial_and_nontrivial_annihilators():
     yes = [decider(data) for decider, data, exists in CASES if exists]
     assert {r.h1_annihilator_dim == 0 for r in yes} == {True, False}
     assert {r.kind for r in yes} == {"minus", "plus"}
+
+
+# Fibers of every family the two kinds treat apart: orientable, bounded
+# non-orientable, and closed non-orientable with an odd number of
+# crosscaps (no Pin+, so plus is refused) or an even one.
+SHARING_FIBERS = {
+    "orientable": [P.orientable_surface(g, b) for g in (0, 1, 2) for b in (0, 1, 2)],
+    "bounded": [P.non_orientable_surface(k, b) for k in (1, 2, 3) for b in (1, 2)],
+    "closed-odd": [P.non_orientable_surface(k, 0) for k in (1, 3, 5)],
+    "closed-even": [P.non_orientable_surface(k, 0) for k in (2, 4, 6)],
+}
+DECIDERS = {
+    P.LefschetzFibration: {"minus": lf.decide_pin_minus, "plus": lf.decide_pin_plus},
+    P.HandlebodyDecomposition3: {
+        "minus": tf.solve_pin_minus_3mfd,
+        "plus": tf.decide_pin_plus_3mfd,
+    },
+}
+
+
+def _fresh(x):
+    """A new subject equal to x, holding no elimination yet."""
+    if isinstance(x, P.LefschetzFibration):
+        return P.LefschetzFibration(x.fiber, x.cycles)
+    return P.HandlebodyDecomposition3(x.genus, x.attaching_classes, x.belt_classes)
+
+
+@st.composite
+def subjects(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    family = draw(st.sampled_from([*SHARING_FIBERS, "threefold"]))
+    if family == "threefold":
+        return random_decomposition(rng, draw(st.integers(1, 3)))
+    return _random_fibration(rng, draw(st.sampled_from(SHARING_FIBERS[family])))
+
+
+@given(subjects())
+@settings(max_examples=120, deadline=None)
+def test_kinds_sharing_one_elimination_leak_nothing(x):
+    # Each kind reads the echelon the other may have made first; its report,
+    # certificate and witness are those of a subject deciding it alone.
+    decide = DECIDERS[type(x)]
+    for order in (("minus", "plus"), ("plus", "minus")):
+        subject = _fresh(x)
+        for kind in order:
+            report, alone = decide[kind](subject), decide[kind](_fresh(x))
+            assert report == alone
+            assert report.certificate == alone.certificate
+            assert report.witness == alone.witness
+        assert "echelon" in subject._checked.__dict__
 
 
 # ---------------------------------------------------------------------------

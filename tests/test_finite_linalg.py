@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gf2_span, z4_row_module
+from helpers import augmented_elimination, gf2_span, z4_row_module
 from pinlef import finite_linalg as fl
 from pinlef.errors import InputError
 
@@ -509,6 +509,52 @@ def test_eliminate_bits_matches_exhaustive_solutions(data, rhs):
     else:
         assert (particular, kernel) == (None, ())
         assert y == aug_reduced.rows[at_a[0]] & ((1 << nrows) - 1)
+
+
+def _random_systems(seed, count):
+    """Seeded systems C x = A of up to 14 x 14, zero rows and zero columns
+    included; low-rank C (rows summing a few random rows) makes most of
+    them unsolvable, with a left null space of dimension two or more."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nrows, ncols = rng.randint(0, 14), rng.randint(0, 14)
+        basis = [rng.getrandbits(ncols) for _ in range(rng.randint(0, ncols))]
+        rows = []
+        for _ in range(nrows):
+            row = 0
+            for b in basis:
+                row ^= b * rng.getrandbits(1)
+            rows.append(row)
+        targets = [rng.getrandbits(1) for _ in range(nrows)]
+        out.append((fl.BitRows(tuple(rows), ncols), targets))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_eliminate_bits_is_the_augmented_elimination(seed):
+    # One pass over [C' | I] and a read of A give exactly what a pass over
+    # [C' | A | I] for that A gives, the witness y of a NO included.
+    systems = _random_systems(seed, 700)
+    shapes = [C.shape for C, _ in systems]
+    assert any(n == 0 for n, _ in shapes) and any(m == 0 < n for n, m in shapes)
+    outcomes = []
+    for C, targets in systems:
+        got = fl.eliminate_bits(C, targets)
+        assert got == augmented_elimination(C, targets)
+        outcomes.append((got[1] is None, len(C.rows) - got[0]))
+    # NO cases whose null space has a basis of two or more rows, where y
+    # is a combination of them, not the first one with target 1.
+    assert sum(no and d >= 2 for no, d in outcomes) > 100
+    assert sum(not no for no, _ in outcomes) > 100
+
+
+def test_one_echelon_serves_every_target():
+    C = fl.BitRows((0b110, 0b011, 0b101, 0b000), 3)
+    echelon = fl.echelon_bits(C)
+    for want in range(16):
+        targets = [want >> (3 - i) & 1 for i in range(4)]
+        assert echelon.solve(want) == augmented_elimination(C, targets)
 
 
 @pytest.mark.parametrize(

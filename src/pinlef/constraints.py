@@ -233,11 +233,6 @@ class DecisionReport(Record):
         object.__setattr__(self, "witness", witness)
 
 
-def z2_rows(surface: sf.SurfaceModel, classes) -> fl.BitRows:
-    """Mod-2 reductions of the classes, one packed row per class."""
-    return fl.BitRows(tuple([c._bits for c in classes]), surface.z2_rank)
-
-
 def rank_mismatch(reason: str) -> Callable[[int, list[int]], tuple]:
     """A ``certify`` for :meth:`ConstraintSystem.decide` that words a NO by
     the ranks of C and C|A and ``reason``, with no witness."""
@@ -248,9 +243,9 @@ def rank_mismatch(reason: str) -> Callable[[int, list[int]], tuple]:
 
 
 class CheckedClasses(tuple):
-    """Z4 classes that all have ``ncols`` coordinates, as a fibration or a
-    threefold checks its classes when it is made.  Both kinds' systems on
-    them read one :attr:`echelon`, eliminated when first asked for."""
+    """Classes with ``ncols`` coordinates each, checked by :func:`check_classes`
+    (this constructor checks nothing).  Both kinds' systems on them read one
+    :attr:`echelon` of their :attr:`rows`, eliminated when first asked for."""
 
     def __new__(cls, classes, ncols: int):
         self = super().__new__(cls, classes)
@@ -260,17 +255,43 @@ class CheckedClasses(tuple):
     def __getnewargs__(self):
         return tuple(self), self.ncols
 
+    @property
+    def rows(self) -> fl.BitRows:
+        """Mod-2 reductions of the classes, one packed row per class."""
+        return fl.BitRows(tuple([c._bits for c in self]), self.ncols)
+
     @cached_property
     def echelon(self) -> fl.Echelon:
-        return fl.echelon_bits(fl.BitRows(tuple([c._bits for c in self]), self.ncols))
+        return fl.echelon_bits(self.rows)
+
+
+def check_classes(
+    classes, pres: sf.HomologyPresentation, rings=("Z4",), name="class", why=None
+) -> CheckedClasses:
+    """The classes, each refused at its first fault: not a class of
+    ``rings``, a coordinate count other than pres.z2_rank, or, given
+    ``why``, odd self-intersection (``why`` formatted with name and text)."""
+    r = pres.z2_rank
+    checked = CheckedClasses(classes, r)
+    for n, c in enumerate(checked, start=1):
+        if not isinstance(c, sf.HomologyClass) or c.ring not in rings:
+            raise InputError(f"{name} {n} must be a Z4 class")
+        if len(c.coords) != r:
+            raise InputError(
+                f"{name} {n} has {len(c.coords)} coordinates, expected {r}"
+            )
+        if why is not None and sf._self_parity(pres, c._bits):
+            txt = sf.format_class(pres, c.coords)
+            raise InvariantViolation(why.format(f"{name} {n}", txt))
+    return checked
 
 
 class ConstraintSystem(Record):
     """Enhancements of ``kind`` ("minus" or "plus") on ``surface`` taking
     the value ``target``, a residue mod 2 * step, on each of the Z4
-    ``classes``, in row order.  Each class is checked when the system is
-    made: a Z4 class (minus also reads Z2 ones) with one coordinate per
-    generator.  Of :class:`CheckedClasses`, checked once already, only the
+    ``classes``, in row order.  Plain classes go through
+    :func:`check_classes` when the system is made (minus also reads Z2
+    ones).  Of :class:`CheckedClasses`, checked once already, only the
     coordinate count is compared with the surface, and every system on
     them reads their one echelon."""
 
@@ -286,17 +307,13 @@ class ConstraintSystem(Record):
         target = sf.as_integer(target, "target")
         if not 0 <= target < 2 * _KINDS[kind][0].step:
             raise InputError(f"target {target} is not a {kind} enhancement value")
-        r = surface.z2_rank
-        if classes.__class__ is not CheckedClasses or classes.ncols != r:
-            classes = CheckedClasses(classes, r)
+        if not isinstance(surface, sf.SurfaceModel):
+            raise InputError(
+                f"surface must be a SurfaceModel, got {type(surface).__name__}"
+            )
+        if classes.__class__ is not CheckedClasses or classes.ncols != surface.z2_rank:
             rings = ("Z2", "Z4") if kind == "minus" else ("Z4",)
-            for n, c in enumerate(classes, start=1):
-                if not isinstance(c, sf.HomologyClass) or c.ring not in rings:
-                    raise InputError(f"class {n} must be a Z4 class")
-                if len(c.coords) != r:
-                    raise InputError(
-                        f"class {n} has {len(c.coords)} coordinates, expected {r}"
-                    )
+            classes = check_classes(classes, sf.homology_presentation(surface), rings)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "classes", tuple(classes))

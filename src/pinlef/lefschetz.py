@@ -25,14 +25,8 @@ from typing import TYPE_CHECKING, ForwardRef, NamedTuple
 from . import finite_linalg as fl
 from . import surfaces as sf
 from ._record import Record
-from .constraints import (
-    CheckedClasses,
-    ConstraintSystem,
-    DecisionReport,
-    rank_mismatch,
-    z2_rows,
-)
-from .errors import InputError, InvariantViolation
+from .constraints import ConstraintSystem, DecisionReport, check_classes, rank_mismatch
+from .errors import InputError
 
 if TYPE_CHECKING:
     from .charclasses import EmbeddedSurfaceData
@@ -61,21 +55,14 @@ class LefschetzFibration(Record):
         self.__post_init__()
 
     def __post_init__(self):
+        if not isinstance(self.fiber, sf.SurfaceModel):
+            raise InputError(
+                f"fiber must be a SurfaceModel, got {type(self.fiber).__name__}"
+            )
         pres = sf.homology_presentation(self.fiber)
-        for n, c in enumerate(self.cycles, start=1):
-            if not isinstance(c, sf.HomologyClass) or c.ring != "Z4":
-                raise InputError(f"cycle {n} must be a Z4 class")
-            if len(c.coords) != pres.z2_rank:
-                raise InputError(
-                    f"cycle {n} has {len(c.coords)} coordinates, "
-                    f"expected {pres.z2_rank}"
-                )
-            if sf._self_parity(pres, c._bits):
-                raise InvariantViolation(
-                    f"cycle {n} ({sf.format_class(pres, c.coords)}) has odd "
-                    "self-intersection; vanishing cycles are two-sided"
-                )
-        object.__setattr__(self, "_checked", CheckedClasses(self.cycles, pres.z2_rank))
+        why = "{} ({}) has odd self-intersection; vanishing cycles are two-sided"
+        checked = check_classes(self.cycles, pres, name="cycle", why=why)
+        object.__setattr__(self, "_checked", checked)
 
     def _system(self, kind: str) -> ConstraintSystem:
         """The fiber's enhancements of ``kind`` taking the value 2 (minus)
@@ -85,7 +72,7 @@ class LefschetzFibration(Record):
 
     def z2_cycle_matrix(self) -> fl.MatGF2:
         """Mod-2 reductions of the cycles, one row per cycle."""
-        return z2_rows(self.fiber, self.cycles).to_array()
+        return self._checked.rows.to_array()
 
 
 class ObstructionWitness(Record):
@@ -181,7 +168,7 @@ def pin_minus_witness_search(f: LefschetzFibration) -> ObstructionWitness | None
 
     A witness exists if and only if the fibration has no Pin- structure.
     """
-    rows = z2_rows(f.fiber, f.cycles).rows
+    rows = f._checked.rows.rows
     n = len(f.cycles)
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):

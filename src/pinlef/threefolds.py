@@ -22,10 +22,10 @@ from .constraints import (
     CheckedClasses,
     ConstraintSystem,
     DecisionReport,
+    check_classes,
     rank_mismatch,
-    z2_rows,
 )
-from .errors import InputError, InvalidDecomposition, InvariantViolation
+from .errors import InputError, InvalidDecomposition
 
 
 class HandlebodyDecomposition3(Record):
@@ -61,25 +61,10 @@ class HandlebodyDecomposition3(Record):
                 f"expected {self.genus} belt classes, got {len(self.belt_classes)}"
             )
         pres = sf.homology_presentation(self.boundary)
-        for label, classes in (
-            ("attaching", self.attaching_classes),
-            ("belt", self.belt_classes),
-        ):
-            for n, c in enumerate(classes, start=1):
-                if not isinstance(c, sf.HomologyClass) or c.ring != "Z4":
-                    raise InputError(f"{label} class {n} must be a Z4 class")
-                if len(c.coords) != pres.z2_rank:
-                    raise InputError(
-                        f"{label} class {n} has {len(c.coords)} coordinates, "
-                        f"expected {pres.z2_rank}"
-                    )
-                if sf._self_parity(pres, c._bits):
-                    raise InvariantViolation(
-                        f"{label} class {n} has odd self-intersection; "
-                        "curves bounding disks are two-sided"
-                    )
-        checked = CheckedClasses(self.listed_classes(), pres.z2_rank)
-        object.__setattr__(self, "_checked", checked)
+        why = "{} has odd self-intersection; curves bounding disks are two-sided"
+        a = check_classes(self.attaching_classes, pres, name="attaching class", why=why)
+        b = check_classes(self.belt_classes, pres, name="belt class", why=why)
+        object.__setattr__(self, "_checked", CheckedClasses(a + b, pres.z2_rank))
 
     @property
     def boundary(self) -> sf.SurfaceModel:
@@ -99,7 +84,7 @@ class HandlebodyDecomposition3(Record):
         return ConstraintSystem(kind, self.boundary, self._checked, 0)
 
     def z2_class_matrix(self) -> fl.MatGF2:
-        return z2_rows(self.boundary, self.listed_classes()).to_array()
+        return self._checked.rows.to_array()
 
 
 def decide_pin_plus_3mfd(d: HandlebodyDecomposition3) -> DecisionReport:

@@ -343,6 +343,119 @@ def test_class_entries_must_be_homology_classes(make, message):
     assert str(err.value) == message
 
 
+def _fib(*cycles):
+    return lambda: P.LefschetzFibration(MOEBIUS, cycles)
+
+
+def _3fold(attach, belt):
+    return lambda: P.HandlebodyDecomposition3(1, (attach,), (belt,))
+
+
+def _system(kind, *classes, target):
+    return lambda: cs.ConstraintSystem(kind, KLEIN, classes, target)
+
+
+_Z2, _Z4 = P.z2_class, P.z4_class
+_ODD_CYCLE = "has odd self-intersection; vanishing cycles are two-sided"
+_ODD_CURVE = "has odd self-intersection; curves bounding disks are two-sided"
+
+
+# Each class check's exact error, and which of several faults is named:
+# the classes are taken in order, each checked for its ring, then its
+# coordinate count, then (fibrations and threefolds) its parity.
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (_fib(_Z2([0])), P.InputError, "cycle 1 must be a Z4 class"),
+        (_fib((0,)), P.InputError, "cycle 1 must be a Z4 class"),
+        (
+            _fib(_Z4([0, 0])),
+            P.InputError,
+            "cycle 1 has 2 coordinates, expected 1",
+        ),
+        (_fib(_Z4([1])), P.InvariantViolation, f"cycle 1 (e1) {_ODD_CYCLE}"),
+        (
+            _fib(_Z4([3]), _Z2([0])),
+            P.InvariantViolation,
+            f"cycle 1 (3e1) {_ODD_CYCLE}",
+        ),
+        (
+            _fib(_Z4([2]), _Z4([0, 0])),
+            P.InputError,
+            "cycle 2 has 2 coordinates, expected 1",
+        ),
+        (
+            _3fold(_Z4([0, 0, 0]), _Z4([0, 0])),
+            P.InputError,
+            "attaching class 1 has 3 coordinates, expected 2",
+        ),
+        (
+            _3fold(_Z4([1, 1]), _Z4([0])),
+            P.InputError,
+            "belt class 1 has 1 coordinates, expected 2",
+        ),
+        (
+            _3fold(_Z4([1, 1]), _Z4([0, 1])),
+            P.InvariantViolation,
+            f"belt class 1 {_ODD_CURVE}",
+        ),
+        (
+            _3fold(_Z4([1, 0]), (0, 0)),
+            P.InvariantViolation,
+            f"attaching class 1 {_ODD_CURVE}",
+        ),
+        (
+            _system("plus", _Z2([0, 0]), target=1),
+            P.InputError,
+            "class 1 must be a Z4 class",
+        ),
+    ],
+    ids=[
+        "cycle-z2",
+        "cycle-tuple",
+        "cycle-length",
+        "cycle-odd",
+        "cycle-odd-before-ring",
+        "cycle-length-second",
+        "attaching-length",
+        "belt-length",
+        "belt-odd",
+        "attaching-odd-before-belt-ring",
+        "plus-system-z2",
+    ],
+)
+def test_class_checks_name_the_first_fault(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_minus_system_reads_z2_classes():
+    system = _system("minus", _Z2([1, 1]), target=2)()
+    assert system.classes == (_Z2([1, 1]),)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: P.LefschetzFibration("torus", ()),
+            "fiber must be a SurfaceModel, got str",
+        ),
+        (
+            lambda: cs.ConstraintSystem("minus", None, (), 0),
+            "surface must be a SurfaceModel, got NoneType",
+        ),
+    ],
+    ids=["fibration", "system"],
+)
+def test_surfaces_must_be_surface_models(make, message):
+    with pytest.raises(P.InputError) as err:
+        make()
+    assert str(err.value) == message
+
+
 _THREEFOLD_DOC = (
     "[surface]\nkind = non-orientable\ncrosscaps = 2\n"
     "[threefold]\ngenus = 1\nattach = 1,1\nbelt = 3,1\n"

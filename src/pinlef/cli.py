@@ -383,16 +383,17 @@ def _mode(doc: InputDocument) -> str:
 
 
 def _subject(doc: InputDocument):
-    """The fibration or threefold the deciders read, built and checked once
-    per command.  Its elimination, which both kinds share, lives as long as
-    it does, so no command reads one left by another on the document."""
+    """The fibration or threefold the deciders read, made once per command:
+    a fibration is built and checked from the cycles, and the threefold
+    checked at parse is copied over a fresh list of its classes.  Its
+    elimination, which both kinds share, lives as long as it does, so no
+    command reads one left by another on the document."""
     if doc.threefold is None:
         return lf.LefschetzFibration(doc.surface, doc.cycles or ())
     if doc.cycles is not None or doc.embedded_surfaces:
         extra = "cycles" if doc.cycles is not None else "embedded-surface"
         raise InputError(f"a threefold document takes no [{extra}] section")
-    d = doc.threefold
-    return tf.HandlebodyDecomposition3(d.genus, d.attaching_classes, d.belt_classes)
+    return doc.threefold._unshared()
 
 
 def _decide(x, kind: str) -> lf.DecisionReport:
@@ -477,7 +478,8 @@ def _verdict_section(report: lf.DecisionReport) -> _Section:
 
 def _threefold_section(d: tf.HandlebodyDecomposition3) -> _Section:
     labels = d.row_labels()
-    rows = [",".join(str(a % 2) for a in c.coords) for c in d.listed_classes()]
+    width = f"0{2 * d.genus}b"
+    rows = [",".join(format(c._bits, width)) for c in d.listed_classes()]
     pairs = [("genus", d.genus)] + [(f"row.{a}", row) for a, row in zip(labels, rows)]
     text = [f"threefold: genus {d.genus} (boundary {d.boundary.describe()})"]
     text.append("system rows mod 2 (attaching then belt):")

@@ -29,7 +29,8 @@ if TYPE_CHECKING:
 # Each kind's enhancement class and value on a Z4 class c, evaluate(plane,
 # c, presentation), read off c's planes (minus: its mod-2 one) and the one
 # plane of values a correction moves (minus: high, plus: parity); plane 0
-# is the base q0, e.e on each generator for minus and 0 for plus.
+# is the base q0, e.e on each generator for minus and 0 for plus.  A system
+# reads q0 on all its classes at once (ConstraintSystem._targets).
 _KINDS = {
     "minus": (sf.EnhancementMinus, sf._minus_value),
     "plus": (sf.EnhancementPlus, sf._plus_value),
@@ -275,7 +276,7 @@ def check_classes(
     checked = CheckedClasses(classes, r)
     for n, c in enumerate(checked, start=1):
         if not isinstance(c, sf.HomologyClass) or c.ring not in rings:
-            raise InputError(f"{name} {n} must be a Z4 class")
+            raise InputError(f"{name} {n} must be a {' or '.join(rings)} class")
         if len(c.coords) != r:
             raise InputError(
                 f"{name} {n} has {len(c.coords)} coordinates, expected {r}"
@@ -332,17 +333,14 @@ class ConstraintSystem(Record):
         s = self.surface
         if self.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
             raise InvariantViolation(sf.NOT_WELL_DEFINED)
-        cls, evaluate = _KINDS[self.kind]
-        pres, want = sf.homology_presentation(s), 0
-        for n, c in enumerate(self.classes, start=1):
-            gap, odd = divmod(self.target - evaluate(0, c, pres), cls.step)
-            if odd:  # q(c) = q0(c) mod step for every q
-                txt = sf.format_class(pres, c.coords)
-                raise InputError(
-                    f"no {self.kind} enhancement takes the value {self.target} "
-                    f"on class {n} ({txt})"
-                )
-            want = want << 1 | gap & 1
+        want, missed = self._targets()
+        if missed:  # q(c) = q0(c) mod step for every q
+            n = len(self.classes) - missed.bit_length()
+            txt = sf.format_class(sf.homology_presentation(s), self.classes[n].coords)
+            raise InputError(
+                f"no {self.kind} enhancement takes the value {self.target} "
+                f"on class {n + 1} ({txt})"
+            )
         echelon = self._checked.echelon
         rank, particular, kernel, y = echelon.solve(want)
         n, r = echelon.shape
@@ -382,27 +380,43 @@ class ConstraintSystem(Record):
         s = self.surface
         if self.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
             return []
-        cls, evaluate = _KINDS[self.kind]
-        pres, r = sf.homology_presentation(s), s.z2_rank
-        want, columns = 0, [0] * r
-        for i, c in enumerate(self.classes):
-            gap, odd = divmod(self.target - evaluate(0, c, pres), cls.step)
-            if odd:  # no candidate meets c
-                return []
-            want |= (gap & 1) << i
+        want, missed = self._targets()
+        if missed:  # no candidate meets that class
+            return []
+        r, n = s.z2_rank, len(self.classes)
+        columns = [0] * r
+        for i, c in enumerate(self.classes, start=1):
             for p in range(r):
-                columns[p] |= (c._bits >> p & 1) << i
+                columns[p] |= (c._bits >> p & 1) << (n - i)
         k, hits = r // 2, []
         low = _tests(columns[:k])
         for h, top in enumerate(_tests(columns[k:])):
             x, i = want ^ top, -1
-            try:
-                while True:
-                    i = low.index(x, i + 1)
-                    hits.append(h << k | i)
-            except ValueError:
-                pass
+            for _ in range(low.count(x)):
+                i = low.index(x, i + 1)
+                hits.append(h << k | i)
         return hits
+
+    def _targets(self) -> tuple[int, int]:
+        """A, and the classes on which no enhancement of the kind takes the
+        target, each packed with class 0 most significant.
+
+        A class c asks for a correction moving q0(c) by target - q0(c), a
+        multiple of step unless no correction meets c.  For minus, q0(c)
+        is c's one-sided count plus twice its handle pairs; for plus it is
+        the parity of c's one-sided high bits plus its handle pairs, and
+        the gap is doubled.  Either way the gap mod 4 has A's bit as its
+        high bit and a miss as its parity."""
+        pres = sf.homology_presentation(self.surface)
+        one, pairs, t = pres.one_sided, pres.handle_first, self.target
+        plus = self.kind == "plus"
+        gaps = bytes([
+            (1 + plus) * (t - ((c._high if plus else c._bits) & one).bit_count())
+            - 2 * (c._bits & c._bits << 1 & pairs).bit_count() & 3
+            for c in self.classes
+        ])
+        missed, want = fl.planes(gaps)
+        return want, missed
 
     def brute_force(self) -> list:
         """Every enhancement meeting the targets, built from

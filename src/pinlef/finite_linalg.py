@@ -6,7 +6,8 @@ and a mod-4 row a pair of bit planes, its parities and its high bits
 (:func:`pack_bits`, :func:`high_bits`), so an entry reads low + 2 * high.
 A row operation is a few XORs and ANDs, and a leading column comes from
 ``bit_length()``.  Mod-2 elimination ends in the reduced row-echelon form,
-unique for the row space, so kernels, particular solutions and
+unique for the row space; a decision stops at an echelon form and reads
+off it what the reduced form gives, so kernels, particular solutions and
 certificates are bit-exactly reproducible.  Over Z4 echelon forms are not
 canonical, so the row-module routines compute the Howell form, which
 decides membership in a row module by reduction to zero.
@@ -21,7 +22,8 @@ every decider and the command line, need no third-party package.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
+from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING, Annotated, ForwardRef, Iterator, Sequence
 
@@ -211,10 +213,18 @@ def rref_gf2(m) -> tuple[int, BitRows | MatGF2, list[int]]:
 
 
 def _rref_bits(m: BitRows) -> tuple[int, BitRows, list[int]]:
-    # Echelon form: insert each row into a basis keyed by leading bit; a row
-    # takes a basis row's XOR only while their bit_length()s agree.
+    basis = _insert(m.rows)
+    leads = _back_substitute(basis)
+    leads.reverse()
+    rows = tuple([basis[lead] for lead in leads]) + (0,) * (len(m.rows) - len(leads))
+    return len(leads), BitRows(rows, m.ncols), [m.ncols - lead for lead in leads]
+
+
+def _insert(rows) -> dict[int, int]:
+    """Echelon form of the rows, keyed by leading bit: a row takes a basis
+    row's XOR only while their bit_length()s agree."""
     basis: dict[int, int] = {}
-    for row in m.rows:
+    for row in rows:
         while row:
             lead = row.bit_length()
             pivot = basis.get(lead)
@@ -222,9 +232,15 @@ def _rref_bits(m: BitRows) -> tuple[int, BitRows, list[int]]:
                 basis[lead] = row
                 break
             row ^= pivot
-    # Back substitution, rightmost pivot first: every row done so far is zero
-    # at the other pivot columns, so the pivot bits a row still holds name
-    # exactly the rows to add to it.
+    return basis
+
+
+def _back_substitute(basis: dict[int, int]) -> list[int]:
+    """Reduce an echelon keyed by leading bit in place; its leads, ascending.
+
+    Rightmost pivot first: every row done so far is zero at the other
+    pivot columns, so the pivot bits a row still holds name exactly the
+    rows to add to it."""
     leads = sorted(basis)
     done = 0
     for lead in leads:
@@ -236,21 +252,21 @@ def _rref_bits(m: BitRows) -> tuple[int, BitRows, list[int]]:
             hits ^= 1 << (h - 1)
         basis[lead] = row
         done |= 1 << (lead - 1)
-    leads.reverse()
-    rows = tuple([basis[lead] for lead in leads]) + (0,) * (len(m.rows) - len(leads))
-    return len(leads), BitRows(rows, m.ncols), [m.ncols - lead for lead in leads]
+    return leads
 
 
 class Echelon(Record):
     """The targets-free half of :func:`eliminate_bits` for a mod-2 matrix C
-    of ``shape``: the reduced row-echelon form of [C' | I], C' being C
-    with its columns reversed, one int per row of C.
+    of ``shape``: an echelon form of [C' | I], C' being C with its columns
+    reversed, one int per row of C, not back-substituted.
 
     The I block, bit nrows - 1 - i for row i of C, records which rows of
     C each echelon row sums.  ``rows[:rank]`` lead in C' at
-    ``pivot_cols``; the other rows are zero in C', and their I parts are
+    ``pivot_cols``, left to right, and hold other bits only to the right
+    of their lead; the other rows are zero in C', and their I parts are
     a basis of {y : y.C = 0}.  One echelon serves every right-hand side:
-    :meth:`solve` reads each one off it.
+    :meth:`solve` reads each one off it, and every solvable one shares
+    the :attr:`kernel`.
     """
 
     def __init__(
@@ -272,39 +288,80 @@ class Echelon(Record):
         target of row i at bit nrows - 1 - i.
 
         An echelon row's target is the parity of the targets of the rows
-        it sums, ``(row & want).bit_count() & 1``.  When no zero-C' row
-        has target 1, A is no pivot column of [C' | A | I]; deleting it
-        from that RREF leaves this one, so the pivot rows, read with
-        their targets, give the particular solution and the kernel.
-        Otherwise the zero-C' rows with their targets prepended span
+        it sums, ``(row & want).bit_count() & 1``.  When a zero-C' row has
+        target 1, those rows with their targets prepended span
         {(y.A, y) : y.C = 0}, whose RREF is the zero-C' block of
         [C' | A | I]'s: its first row leads at A, and its I part is y.
+        Otherwise the particular solution, zero at every free column, is
+        read off the pivot rows from the rightmost up: a row's target is
+        its pivot's value plus its other C' bits' values, all of them
+        free or settled already.
         """
-        (nrows, ncols), rank = self.shape, self.rank
+        nrows, rank = self.shape[0], self.rank
         null = [(row & want).bit_count() & 1 for row in self.rows[rank:]]
         if any(null):
             rows = tuple([a << nrows | row for a, row in zip(null, self.rows[rank:])])
             _, reduced, _ = _rref_bits(BitRows(rows, nrows + 1))
             return rank, None, (), reduced.rows[0] & ((1 << nrows) - 1)
+        return rank, self._read_off(want), self.kernel, None
 
-        # Pivot p of C' is C's column ncols - 1 - p, bit p of a solution; its
-        # row's other C' bits are free columns.  Keyed by f, rows are in RREF order.
-        pivots = {ncols - 1 - p for p in self.pivot_cols}
-        vectors = {f: 1 << (ncols - 1 - f) for f in range(ncols) if f not in pivots}
-        particular = 0
-        for p, row in zip(self.pivot_cols, self.rows):
-            if (row & want).bit_count() & 1:
-                particular |= 1 << p
-            rest = row >> nrows ^ 1 << (ncols - 1 - p)
+    def _read_off(self, known: int) -> int:
+        """The solution read off the pivot rows from the rightmost up, for
+        the targets in known's I part and the free columns set in its C'
+        part.  Pivot p of C', bit ncols - 1 - p + nrows of its row, is bit
+        p of the solution; known gains each pivot set."""
+        nrows, ncols = self.shape
+        x = 0
+        for p, row in zip(reversed(self.pivot_cols), reversed(self.rows[: self.rank])):
+            if (row & known).bit_count() & 1:
+                known |= 1 << (ncols - 1 - p + nrows)
+                x |= 1 << p
+        return x
+
+    @cached_property
+    def kernel(self) -> tuple[int, ...]:
+        """The RREF basis of {x : C x = 0}, packed like C's rows: for each
+        free column, left to right, the solution that is 1 there and 0 at
+        every other free column.
+
+        Read off like a particular solution, each row costs about rank
+        steps; back substitution costs about rank**2 / 4 steps, after
+        which every row is read from the reduced pivot rows.  The rows are
+        read off when (d + 2) * rank, for d free columns and two
+        particular solutions, is the smaller."""
+        (_, ncols), rank = self.shape, self.rank
+        if 4 * (ncols - rank + 2) < rank:
+            return self._read_kernel()
+        return self._reduced_kernel()
+
+    def _read_kernel(self) -> tuple[int, ...]:
+        nrows, ncols = self.shape
+        pivots = set(self.pivot_cols)
+        return tuple([
+            1 << p | self._read_off(1 << (ncols - 1 - p + nrows))
+            for p in reversed(range(ncols))
+            if p not in pivots
+        ])
+
+    def _reduced_kernel(self) -> tuple[int, ...]:
+        # The pivot rows' C' parts, keyed by leading bit: C's column f is
+        # bit f, and a solution's bit ncols - 1 - f.
+        nrows, ncols = self.shape
+        pivot_rows = self.rows[: self.rank]
+        basis = {row.bit_length() - nrows: row >> nrows for row in pivot_rows}
+        _back_substitute(basis)
+        vectors = {f: 1 << (ncols - 1 - f) for f in range(ncols) if f + 1 not in basis}
+        for lead, row in basis.items():
+            rest = row ^ 1 << (lead - 1)
             while rest:
                 f = rest.bit_length() - 1
-                vectors[f] |= 1 << p
+                vectors[f] |= 1 << (ncols - lead)
                 rest ^= 1 << f
-        return rank, particular, tuple(vectors.values()), None
+        return tuple(vectors.values())
 
 
 def echelon_bits(C: BitRows) -> Echelon:
-    """One Gauss-Jordan pass over [C' | I], the :class:`Echelon` of C."""
+    """One insertion pass over [C' | I], the :class:`Echelon` of C."""
     nrows, ncols = C.shape
     # C' holds C's column j at bit j: each row's bits in reverse order.
     nbytes, pad = -(-ncols // 8), -ncols % 8
@@ -313,13 +370,12 @@ def echelon_bits(C: BitRows) -> Echelon:
         >> pad
         for row in C.rows
     ]
-    aug = BitRows(
-        tuple([x << nrows | 1 << (nrows - 1 - i) for i, x in enumerate(flipped)]),
-        ncols + nrows,
-    )
-    _, reduced, pivot_cols = rref_gf2(aug)
-    rank = bisect_left(pivot_cols, ncols)
-    return Echelon(C.shape, rank, reduced.rows, tuple(pivot_cols[:rank]))
+    basis = _insert([x << nrows | 1 << (nrows - 1 - i) for i, x in enumerate(flipped)])
+    leads = sorted(basis)
+    rank = len(leads) - bisect_right(leads, nrows)
+    leads.reverse()
+    pivot_cols = tuple([ncols + nrows - lead for lead in leads[:rank]])
+    return Echelon(C.shape, rank, tuple([basis[lead] for lead in leads]), pivot_cols)
 
 
 def eliminate_bits(

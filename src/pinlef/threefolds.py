@@ -15,6 +15,8 @@ classes followed by the belt classes (reports keep this row order).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import finite_linalg as fl
 from . import surfaces as sf
 from ._record import Record
@@ -66,9 +68,19 @@ class HandlebodyDecomposition3(Record):
         b = check_classes(self.belt_classes, pres, name="belt class", why=why)
         object.__setattr__(self, "_checked", CheckedClasses(a + b, pres.z2_rank))
 
-    @property
+    @cached_property
     def boundary(self) -> sf.SurfaceModel:
         return sf.non_orientable_surface(2 * self.genus, 0)
+
+    def _unshared(self) -> HandlebodyDecomposition3:
+        """This decomposition, checked no further, over a fresh list of its
+        checked classes: it reads no elimination made for this one."""
+        d = object.__new__(HandlebodyDecomposition3)
+        for name, value in vars(self).items():
+            object.__setattr__(d, name, value)
+        checked = CheckedClasses(self._checked, self._checked.ncols)
+        object.__setattr__(d, "_checked", checked)
+        return d
 
     def listed_classes(self) -> tuple[sf.HomologyClass, ...]:
         """Attaching classes then belt classes, in report order."""

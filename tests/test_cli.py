@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 import pinlef as P
 from pinlef import cli
+from pinlef import constraints as cs
 from pinlef import finite_linalg as fl
+from pinlef import threefolds as tf
 from pinlef.constraints import DecisionReport, StructureSet
 from pinlef.errors import InputError, ParseError
 
@@ -420,13 +422,13 @@ def test_sphere_mode_matches_decide_pin_over_s2(disk_text):
 @pytest.fixture
 def rref_calls(monkeypatch):
     calls = []
-    original = fl.rref_gf2
+    original = fl.echelon_bits
 
     def counted(m):
         calls.append(1)
         return original(m)
 
-    monkeypatch.setattr(fl, "rref_gf2", counted)
+    monkeypatch.setattr(fl, "echelon_bits", counted)
     return calls
 
 
@@ -488,6 +490,26 @@ def test_commands_validate_the_fibration_once(monkeypatch, command, text):
         calls.clear()
         cli.run(command, doc, kind)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["decide", "enumerate", "oracle"])
+def test_threefold_commands_check_no_class_after_parse(monkeypatch, command):
+    # The parse checks the attaching and the belt classes once; each
+    # command's threefold reads that check.
+    calls = []
+    original = cs.check_classes
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("name"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cs, "check_classes", counted)
+    monkeypatch.setattr(tf, "check_classes", counted)
+    doc = cli.parse(THREEFOLD_TEXT)
+    assert calls == ["attaching class", "belt class"]
+    for kind in ("both", "minus", "plus"):
+        cli.run(command, doc, kind)
+    assert len(calls) == 2
 
 
 def test_charclass_mode():

@@ -23,13 +23,13 @@ from helpers import candidate_hit_rows, random_decomposition
 @pytest.fixture
 def rref_calls(monkeypatch):
     calls = []
-    original = fl.rref_gf2
+    original = fl.echelon_bits
 
     def counted(m):
         calls.append(1)
         return original(m)
 
-    monkeypatch.setattr(fl, "rref_gf2", counted)
+    monkeypatch.setattr(fl, "echelon_bits", counted)
     return calls
 
 
@@ -481,7 +481,8 @@ def test_entries_that_are_not_classes_are_refused_at_construction(kind, target):
     for classes, n in [(((1, 1),), 1), ((P.z4_class([1, 1]), [1, 1]), 2)]:
         with pytest.raises(InputError) as err:
             ConstraintSystem(kind, surface, classes, target)
-        assert str(err.value) == f"class {n} must be a Z4 class"
+        rings = "Z2 or Z4" if kind == "minus" else "Z4"
+        assert str(err.value) == f"class {n} must be a {rings} class"
 
 
 def test_target_that_is_not_an_integer_is_refused():
@@ -504,6 +505,15 @@ def test_minus_target_of_the_wrong_parity_raises(surface, rows, target, named):
     with pytest.raises(InputError) as err:
         system.decide(_unsolvable)
     assert str(err.value) == f"no minus enhancement takes the value {target} on {named}"
+
+
+def test_wrong_parity_names_the_first_class_missed():
+    # Classes 2 and 3 both have odd one-sided counts; the first is named.
+    classes = tuple(P.z4_class(row) for row in ([2], [1], [3]))
+    system = ConstraintSystem("minus", P.non_orientable_surface(1, 1), classes, 2)
+    with pytest.raises(InputError) as err:
+        system.decide(_unsolvable)
+    assert str(err.value) == "no minus enhancement takes the value 2 on class 2 (e1)"
 
 
 _SYSTEM_SURFACES = [

@@ -557,6 +557,67 @@ def test_one_echelon_serves_every_target():
         assert echelon.solve(want) == augmented_elimination(C, targets)
 
 
+def _rank_256_systems(seed):
+    """Seeded random C of rank 256 or more, with a few free columns (d much
+    below the rank) and with about as many free columns as the rank."""
+    rng = random.Random(seed)
+    shapes = [(300, 300), (260, 264), (256, 512), (300, 560)]
+    return [
+        fl.BitRows(tuple([rng.getrandbits(m) for _ in range(n)]), m) for n, m in shapes
+    ]
+
+
+def _count_kernel_reads(monkeypatch) -> list[str]:
+    """Patch both kernel reads of Echelon to log which one runs."""
+    reads = []
+    for name in ("_read_kernel", "_reduced_kernel"):
+
+        def logged(self, read=getattr(fl.Echelon, name), name=name):
+            reads.append(name)
+            return read(self)
+
+        monkeypatch.setattr(fl.Echelon, name, logged)
+    return reads
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kernel_read_off_is_the_back_substituted_kernel(seed):
+    # Reading each free column's solution off the echelon gives the kernel
+    # that back substitution gives, row for row.
+    systems = [C for C, _ in _random_systems(seed, 700)] + _rank_256_systems(seed)
+    for C in systems:
+        echelon = fl.echelon_bits(C)
+        kernel = echelon._read_kernel()
+        assert kernel == echelon._reduced_kernel()
+        assert len(kernel) == C.ncols - echelon.rank
+    for C in _rank_256_systems(seed):
+        kernel = fl.echelon_bits(C)._read_kernel()
+        assert all((row & k).bit_count() % 2 == 0 for row in C.rows for k in kernel)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_wide_and_narrow_kernels_are_the_augmented_elimination(monkeypatch, seed):
+    # Solvable targets at rank 256 and more: the kernel is read off when
+    # it is narrow and back-substituted when it is wide.
+    reads = _count_kernel_reads(monkeypatch)
+    rng = random.Random(seed)
+    for C in _rank_256_systems(seed):
+        x = rng.getrandbits(C.ncols)
+        targets = [(row & x).bit_count() & 1 for row in C.rows]
+        assert fl.eliminate_bits(C, targets) == augmented_elimination(C, targets)
+    assert reads == ["_read_kernel"] * 2 + ["_reduced_kernel"] * 2
+
+
+def test_augmented_elimination_systems_reach_both_kernel_reads(monkeypatch):
+    # The systems test_eliminate_bits_is_the_augmented_elimination compares
+    # read their kernels on both sides of Echelon.kernel's rule.
+    reads = _count_kernel_reads(monkeypatch)
+    for seed in (1, 2, 3):
+        for C, targets in _random_systems(seed, 700):
+            fl.eliminate_bits(C, targets)
+    assert set(reads) == {"_read_kernel", "_reduced_kernel"}
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -23,11 +23,14 @@ lines.  ``pinlef`` streams its report in pieces of whole lines, at most
 Exit status: 0 when every requested structure exists (or the oracle
 agrees), 1 otherwise, 2 on input errors.  Reports are byte-deterministic
 for identical inputs.
+
+Help and argument errors are argparse's.  A well-formed command line, the
+command and the file with at most one ``--kind K`` and one ``--format F``
+as separate words, is read from the same tables without loading argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
@@ -43,6 +46,8 @@ from .constraints import _walk
 from .errors import InputError, ParseError, PinlefError
 
 if TYPE_CHECKING:
+    import argparse
+
     from .charclasses import EmbeddedSurfaceData
 
 # Each [embedded-surface] key and the EmbeddedSurfaceData field it sets.
@@ -64,14 +69,15 @@ _KEYS = {
     "embedded-surface": _EMBEDDED_FIELDS,
 }
 # Lines end at "\n", "\r\n" or "\r"; str.splitlines() would also break
-# at form feeds, U+0085, U+2028 and other separators.
-_LINE_END_RE = re.compile(r"\r\n?|\n")
+# at form feeds, U+0085, U+2028 and other separators.  This pattern and
+# _ROW are compiled on first use, through re's cache.
+_LINE_END = r"\r\n?|\n"
 _SECTION_RE = re.compile(r"^\[([a-z-]+)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z0-9_-]+)\s*=\s*(.*)$")
 # int() also takes "+1", "1_0" and non-ASCII digits; documents may not.
 _INT_RE = re.compile(r"-?[0-9]+")
 # A residue row: such integers, each with optional spaces, between commas.
-_ROW_RE = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*")
+_ROW = r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*"
 # Each of the digits 0-3 to the byte of its value.
 _DIGIT_VALUES = bytes.maketrans(b"0123", bytes(range(4)))
 _ORACLE_RANK_LIMIT = 20
@@ -128,7 +134,7 @@ def _parse_row(text: str, line: int) -> bytes | list[int]:
         b = text.encode()
         if len(b) & 1 and not b[1::2].strip(b",") and not b[::2].strip(b"0123"):
             return b[::2].translate(_DIGIT_VALUES)
-    if not _ROW_RE.fullmatch(text):
+    if not re.fullmatch(_ROW, text):
         raise ParseError(line, f"malformed residue row {_quote(text)}")
     # strip(), unlike int(), takes \x1c-\x1f, which \s also matches.
     entries = list(map(str.strip, text.split(",")))
@@ -141,7 +147,7 @@ def _parse_row(text: str, line: int) -> bytes | list[int]:
 def _lines(text: str) -> list[str]:
     """The document's lines, without their ends; like ``splitlines``, a
     final line end starts no further line."""
-    lines = _LINE_END_RE.split(text)
+    lines = re.split(_LINE_END, text) if "\r" in text else text.split("\n")
     if not lines[-1]:
         lines.pop()
     return lines
@@ -559,7 +565,7 @@ def _run_enumerate(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
     for report in reports:
         if report.structure_count > _ENUMERATE_LIMIT:
             raise InputError(
-                f"enumerate refused: {report.structure_count} "
+                f"enumerate refused: {sf.brief(report.structure_count)} "
                 f"Pin{_sign(report.kind)} structures exceed {_ENUMERATE_LIMIT}"
             )
     gens = ",".join(sf.homology_presentation(target).generators)
@@ -690,7 +696,18 @@ def bundled_example(name: str) -> Path:
     return Path(str(resources.files(__package__).joinpath("data", name)))
 
 
+# Each option: the name it is stored under, its values, its default and
+# its help.  The command line reader and argparse read the same tables.
+_OPTIONS = {
+    "--kind": ("kind", _KINDS, "both", "which structure kind to consider"),
+    "--format": ("fmt", _FORMATS, "text", "report style"),
+}
+
+
 def _build_argparser() -> argparse.ArgumentParser:
+    # Only the command lines _read_argv leaves to argparse load it (and gettext).
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pinlef",
         description=(
@@ -700,20 +717,39 @@ def _build_argparser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("file", type=Path, help="description file to process")
-    parser.add_argument(
-        "--kind",
-        choices=_KINDS,
-        default="both",
-        help="which structure kind to consider (default: both)",
-    )
-    parser.add_argument(
-        "--format",
-        dest="fmt",
-        choices=_FORMATS,
-        default="text",
-        help="report style (default: text)",
-    )
+    for flag, (dest, choices, default, text) in _OPTIONS.items():
+        parser.add_argument(
+            flag,
+            dest=dest,
+            choices=choices,
+            default=default,
+            help=f"{text} (default: {default})",
+        )
     return parser
+
+
+def _read_argv(argv: list[str]) -> tuple[str, Path, str, str] | None:
+    """The command, file, kind and format of a well-formed command line: a
+    command and a file, and at most one of each option with one of its
+    values, as separate words, in any order.  None for any other command
+    line (help, abbreviations, ``--opt=value``, repeats, ``--``, errors),
+    which argparse reads instead."""
+    words = []
+    values: dict[str, str] = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-":
+            words.append(token)
+            continue
+        option = _OPTIONS.get(token)
+        value = next(tokens, None)
+        if option is None or token in values or value not in option[1]:
+            return None
+        values[token] = value
+    if len(words) != 2 or words[0] not in _COMMANDS:
+        return None
+    kind, fmt = (values.get(flag, option[2]) for flag, option in _OPTIONS.items())
+    return words[0], Path(words[1]), kind, fmt
 
 
 def _decode(data: bytes) -> str:
@@ -726,21 +762,26 @@ def _decode(data: bytes) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_argparser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        ns = _build_argparser().parse_args(argv)
+        args = ns.command, ns.file, ns.kind, ns.fmt
+    command, path, kind, fmt = args
     try:
-        data = args.file.read_bytes()
+        data = path.read_bytes()
     except OSError as e:
-        print(f"error: cannot read {args.file}: {e}", file=sys.stderr)
+        print(f"error: cannot read {path}: {e}", file=sys.stderr)
         return 2
     try:
         doc = parse(_decode(data))
-        sections, status = _report(args.command, doc, args.kind)
+        sections, status = _report(command, doc, kind)
     except PinlefError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
         # A piece at a time: a long enumerate report is never held whole.
-        sys.stdout.writelines(piece + "\n" for piece in _render(sections, args.fmt))
+        sys.stdout.writelines(piece + "\n" for piece in _render(sections, fmt))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader stopped early (``pinlef enumerate ... | head``).  Send

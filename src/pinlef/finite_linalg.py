@@ -23,7 +23,6 @@ every decider and the command line, need no third-party package.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING, Annotated, ForwardRef, Iterator, Sequence
 
@@ -280,6 +279,10 @@ class Echelon(Record):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivot_cols", pivot_cols)
+        # The kernel, once read.  Set here, so every instance dict has the
+        # same keys, and filled by the first read: cached_property takes a
+        # lock on that read.
+        object.__setattr__(self, "_kernel", None)
 
     def solve(
         self, want: int
@@ -318,7 +321,7 @@ class Echelon(Record):
                 x |= 1 << p
         return x
 
-    @cached_property
+    @property
     def kernel(self) -> tuple[int, ...]:
         """The RREF basis of {x : C x = 0}, packed like C's rows: for each
         free column, left to right, the solution that is 1 there and 0 at
@@ -328,11 +331,16 @@ class Echelon(Record):
         steps; back substitution costs about rank**2 / 4 steps, after
         which every row is read from the reduced pivot rows.  The rows are
         read off when (d + 2) * rank, for d free columns and two
-        particular solutions, is the smaller."""
-        (_, ncols), rank = self.shape, self.rank
-        if 4 * (ncols - rank + 2) < rank:
-            return self._read_kernel()
-        return self._reduced_kernel()
+        particular solutions, is the smaller.  The first read keeps it."""
+        kernel = self._kernel
+        if kernel is None:
+            (_, ncols), rank = self.shape, self.rank
+            if 4 * (ncols - rank + 2) < rank:
+                kernel = self._read_kernel()
+            else:
+                kernel = self._reduced_kernel()
+            object.__setattr__(self, "_kernel", kernel)
+        return kernel
 
     def _read_kernel(self) -> tuple[int, ...]:
         nrows, ncols = self.shape

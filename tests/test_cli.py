@@ -6,6 +6,7 @@ import contextlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -23,7 +24,7 @@ from pinlef import constraints as cs
 from pinlef import finite_linalg as fl
 from pinlef import threefolds as tf
 from pinlef.constraints import DecisionReport, StructureSet
-from pinlef.errors import InputError, ParseError
+from pinlef.errors import InputError, ParseError, PinlefError
 
 RP4_TEXT = """\
 # comment line
@@ -633,6 +634,188 @@ def test_enumerate_refuses_too_many_structures(capsys, tmp_path, args):
     assert "4194304" in capsys.readouterr().out
 
 
+def test_enumerate_refusal_quotes_a_bounded_count(capsys, tmp_path):
+    # The product fibration over genus 2048 has 2**4096 structures of each
+    # kind, a count of 1234 digits; the refusal quotes its first 12.
+    doc = tmp_path / "product.pinlef"
+    doc.write_text("[surface]\nkind = orientable\ngenus = 2048\nboundary = 1\n")
+    assert cli.main(["enumerate", str(doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: enumerate refused: 104438888141... (1234 digits) "
+        f"Pin+ structures exceed {1 << 20}\n"
+    )
+    assert len(err) < 100
+
+
+# ---------------------------------------------------------------------------
+# the command line: argparse for help and errors, read directly otherwise
+# ---------------------------------------------------------------------------
+
+
+def _outcome(capsys, call, argv) -> tuple[str, str, object]:
+    """The stdout, stderr and exit status of ``call(argv)``; a SystemExit's
+    code stands for the status."""
+    try:
+        status = call(argv)
+    except SystemExit as e:
+        status = e.code
+    out, err = capsys.readouterr()
+    return out, err, status
+
+
+def _argparse(argv):
+    return cli._build_argparser().parse_args(argv)
+
+
+_RP4 = str(cli.bundled_example("rp4.pinlef"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["-h"],
+        ["decide", _RP4, "--help"],
+        ["solve", _RP4],
+        ["decide"],
+        [],
+        ["decide", _RP4, "--kind", "bad"],
+        ["decide", _RP4, "--kind"],
+        ["decide", _RP4, "extra"],
+        ["decide", _RP4, "--verbose"],
+    ],
+    ids=[
+        "help",
+        "h",
+        "help-after-file",
+        "unknown-command",
+        "missing-file",
+        "empty",
+        "bad-kind",
+        "kind-without-value",
+        "third-word",
+        "unknown-option",
+    ],
+)
+def test_help_and_argument_errors_are_argparse_s(capsys, argv):
+    # Compared with argparse live, since its wording differs between
+    # Python versions.
+    assert cli._read_argv(argv) is None
+    out, err, status = _outcome(capsys, _argparse, argv)
+    assert status in (0, 2)
+    assert ("usage: pinlef" in out) if status == 0 else err.startswith("usage: pinlef")
+    assert _outcome(capsys, cli.main, argv) == (out, err, status)
+
+
+@pytest.mark.parametrize(
+    "argv, same",
+    [
+        (["--kind=plus", "decide", _RP4], ["decide", _RP4, "--kind", "plus"]),
+        (["decide", _RP4, "--fo", "machine"], ["decide", _RP4, "--format", "machine"]),
+        (
+            ["decide", "--kind", "minus", _RP4, "--kind", "plus"],
+            ["decide", _RP4, "--kind", "plus"],
+        ),
+        (["enumerate", "--", _RP4], ["enumerate", _RP4]),
+        (["decide", "-"], ["decide", "./-"]),
+    ],
+    ids=["equals-sign", "abbreviation", "repeated-kind", "double-dash", "lone-dash"],
+)
+def test_argparse_reads_the_other_accepted_command_lines(
+    capsys, tmp_path, monkeypatch, argv, same
+):
+    # A lone "-" is a file of that name, here a copy of rp4.pinlef.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-").write_text(RP4_TEXT)
+    assert cli._read_argv(argv) is None
+    args = _argparse(argv)
+    assert capsys.readouterr() == ("", "")
+    assert (args.command, args.file, args.kind, args.fmt) == cli._read_argv(same)
+    expected = _outcome(capsys, cli.main, same)
+    assert expected[0] and expected[2] in (0, 1)
+    assert _outcome(capsys, cli.main, argv) == expected
+
+
+def test_golden_command_lines_are_read_without_argparse():
+    for command, kind, fmt in product(cli._COMMANDS, cli._KINDS, cli._FORMATS):
+        argv = [command, "doc.pinlef", "--kind", kind, "--format", fmt]
+        assert cli._read_argv(argv) == (command, Path("doc.pinlef"), kind, fmt)
+    assert cli._read_argv(["decide", "doc.pinlef"]) == (
+        "decide",
+        Path("doc.pinlef"),
+        "both",
+        "text",
+    )
+
+
+_ARGV_WORDS = [
+    *cli._COMMANDS,
+    *cli._KINDS,
+    *cli._FORMATS,
+    "--kind",
+    "--format",
+    "--kind=plus",
+    "--format=text",
+    "--fo",
+    "--k",
+    "-h",
+    "--help",
+    "-",
+    "--",
+    "-1",
+    "",
+    "bad",
+    "a.pinlef",
+    "dir/b c.pinlef",
+]
+
+
+def _argparse_or_none(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            return _argparse(argv)
+        except SystemExit:
+            return None
+
+
+@given(st.lists(st.sampled_from(_ARGV_WORDS), max_size=7))
+@settings(max_examples=1000, deadline=None)
+def test_the_command_line_reader_agrees_with_argparse(argv):
+    read = cli._read_argv(argv)
+    if read is not None:
+        args = _argparse_or_none(argv)
+        assert args is not None, argv
+        assert read == (args.command, args.file, args.kind, args.fmt)
+
+
+@st.composite
+def _well_formed_argv(draw):
+    """A command and a file, and at most one of each option with one of its
+    values, in any order; the file does not start with "-"."""
+    units = [
+        [flag, draw(st.sampled_from(list(choices)))]
+        for flag, (_, choices, _, _) in cli._OPTIONS.items()
+        if draw(st.booleans())
+    ]
+    command = [draw(st.sampled_from(list(cli._COMMANDS)))]
+    units = draw(st.permutations([*units, command]))
+    file = draw(st.text(max_size=12).filter(lambda t: not t.startswith("-")))
+    units.insert(draw(st.integers(units.index(command) + 1, len(units))), [file])
+    return [word for unit in units for word in unit]
+
+
+@given(_well_formed_argv())
+@settings(max_examples=300, deadline=None)
+def test_well_formed_command_lines_are_read_without_argparse(argv):
+    args = _argparse_or_none(argv)
+    assert args is not None, argv
+    assert cli._read_argv(argv) == (args.command, args.file, args.kind, args.fmt)
+
+
 def test_main_streams_enumerate_report(tmp_path):
     # 2**14 structures of each kind make about 1 MiB of report; written in
     # pieces of at most 16 KiB of lines, it never needs that much memory.
@@ -764,7 +947,14 @@ def test_commands_load_only_what_they_need(tmp_path):
     # Fresh processes; `site` may preload some modules, so what counts is what
     # a command loads beyond a bare interpreter.
     bare = _modules_after("import sys; sys.stderr.write(' '.join(sys.modules))")
-    heavy = {"dataclasses", "inspect", "ast", "pinlef.charclasses"}
+    heavy = {
+        "dataclasses",
+        "inspect",
+        "ast",
+        "pinlef.charclasses",
+        "argparse",
+        "gettext",
+    }
     threefold = tmp_path / "threefold.pinlef"
     threefold.write_text(THREEFOLD_TEXT)
     rp4 = Path(cli.__file__).parent / "data" / "rp4.pinlef"
@@ -1050,6 +1240,36 @@ def test_parse_counts_lines_by_newlines(text, line):
     with pytest.raises(ParseError) as err:
         cli.parse(text)
     assert err.value.line == line
+
+
+def _parse_outcome(text: str):
+    try:
+        return cli.parse(text)
+    except PinlefError as e:
+        return type(e), str(e), getattr(e, "line", None)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_reads_every_line_end_alike(data):
+    # A document with "\r\n" or "\r" line ends parses as the one with "\n"
+    # there: the same document, or the same error on the same line.
+    lines = list(data.draw(st.sampled_from(_EXAMPLE_LINES)))
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i] = data.draw(
+        st.one_of(
+            st.text(max_size=30),
+            st.lists(st.sampled_from("0123 9-x"), max_size=6).map(",".join),
+        )
+    )
+    n = len(lines)
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    ends = data.draw(st.lists(end, min_size=n, max_size=n))
+    text = "".join(map(str.__add__, lines, ends))
+    if data.draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    newlines = "\n".join(re.split(r"\r\n?|\n", text))
+    assert _parse_outcome(text) == _parse_outcome(newlines)
 
 
 def test_main_reads_a_byte_order_mark_and_counts_lines_by_newlines(capsys, tmp_path):

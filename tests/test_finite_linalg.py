@@ -608,6 +608,23 @@ def test_wide_and_narrow_kernels_are_the_augmented_elimination(monkeypatch, seed
     assert reads == ["_read_kernel"] * 2 + ["_reduced_kernel"] * 2
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_solvable_target_shares_one_kernel_read(monkeypatch, seed):
+    # Both kinds of a subject solve on one echelon; the kernel is read
+    # once, on the first solvable target, and every later one returns it.
+    reads = _count_kernel_reads(monkeypatch)
+    rng = random.Random(seed)
+    for C in _rank_256_systems(seed):
+        echelon = fl.echelon_bits(C)
+        kernels = []
+        for _ in range(3):
+            x = rng.getrandbits(C.ncols)
+            want = fl.pack_bits([(row & x).bit_count() & 1 for row in C.rows])
+            kernels.append(echelon.solve(want)[2])
+        assert kernels[0] is kernels[1] is kernels[2] is echelon.kernel
+    assert len(reads) == 4
+
+
 def test_augmented_elimination_systems_reach_both_kernel_reads(monkeypatch):
     # The systems test_eliminate_bits_is_the_augmented_elimination compares
     # read their kernels on both sides of Echelon.kernel's rule.

@@ -17,6 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "EmbeddedSurfaceData": "charclasses",
     "ObstructionSummary": "charclasses",
+    "SphereVerdicts": "charclasses",
+    "decide_pin_over_s2": "charclasses",
     "eval_w1sq": "charclasses",
     "eval_w2": "charclasses",
     "pin_obstruction_summary": "charclasses",
@@ -37,11 +39,9 @@ _EXPORTS = {
     "DecisionReport": "lefschetz",
     "LefschetzFibration": "lefschetz",
     "ObstructionWitness": "lefschetz",
-    "SphereVerdicts": "lefschetz",
     "brute_force_pin_minus": "lefschetz",
     "brute_force_pin_plus": "lefschetz",
     "decide_pin_minus": "lefschetz",
-    "decide_pin_over_s2": "lefschetz",
     "decide_pin_plus": "lefschetz",
     "fibration_h1_annihilator": "lefschetz",
     "pin_minus_witness_search": "lefschetz",

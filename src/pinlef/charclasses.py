@@ -13,8 +13,9 @@ supplies these five residues; nothing is computed from an embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+from . import lefschetz as lf
 from .errors import InputError
 
 
@@ -72,3 +73,33 @@ def pin_obstruction_summary(
     plus = any(eval_w2(d) for d in surfaces)
     minus = any((eval_w2(d) + eval_w1sq(d)) % 2 for d in surfaces)
     return ObstructionSummary(plus, minus)
+
+
+def over_s2(report: lf.DecisionReport, d: EmbeddedSurfaceData) -> bool:
+    """The verdict over the sphere of the kind ``report`` decides on the disk
+    part: the disk part has the structure and the dual surface's term is 0.
+    That is w2 on sigma for "plus", [sigma]^2 + cup + w1^2(nu(sigma)) for
+    "minus"."""
+    minus = (d.self_intersection_mod2 + d.cup_term + d.w1sq_normal) % 2
+    term = eval_w2(d) if report.kind == "plus" else minus
+    return report.exists and term == 0
+
+
+class SphereVerdicts(NamedTuple):
+    pin_minus: bool
+    pin_plus: bool
+
+
+def decide_pin_over_s2(
+    f: lf.LefschetzFibration, dual_surface: EmbeddedSurfaceData
+) -> SphereVerdicts:
+    """Pin verdicts for a fibration over the sphere, each :func:`over_s2`.
+
+    ``f`` describes the complement of a fiber neighbourhood as a fibration
+    over the disk; ``dual_surface`` carries the invariants of an embedded
+    surface dual to the fiber.
+    """
+    return SphereVerdicts(
+        pin_minus=over_s2(lf.decide_pin_minus(f), dual_surface),
+        pin_plus=over_s2(lf.decide_pin_plus(f), dual_surface),
+    )

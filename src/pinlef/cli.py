@@ -506,17 +506,18 @@ def _run_decide(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
     if mode == "threefold":
         sections.append(_threefold_section(doc.threefold))
     x = _subject(doc)
+    if mode == "sphere" and len(doc.embedded_surfaces) != 1:
+        raise InputError(
+            "a fibration-over-the-sphere document takes exactly one "
+            "embedded-surface block (the dual surface)"
+        )
     reports = [_decide(x, k) for k in kinds]
     sections += map(_verdict_section, reports)
     ok = all(report.exists for report in reports)
     if mode == "sphere":
-        if len(doc.embedded_surfaces) != 1:
-            raise InputError(
-                "a fibration-over-the-sphere document takes exactly one "
-                "embedded-surface block (the dual surface)"
-            )
-        terms = lf.dual_surface_terms(doc.embedded_surfaces[0])
-        over = {r.kind: r.exists and terms[r.kind] == 0 for r in reports}
+        from .charclasses import over_s2
+
+        over = {r.kind: over_s2(r, doc.embedded_surfaces[0]) for r in reports}
         pairs = [(f"pin_{k}", _yesno(over[k])) for k in kinds]
         text = [
             f"Pin{_sign(k)} over S2: {'YES' if over[k] else 'NO'}" for k in kinds

@@ -20,23 +20,12 @@ and serves as an independent oracle for the linear-algebra route.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, ForwardRef, NamedTuple
 
 from . import finite_linalg as fl
 from . import surfaces as sf
 from ._record import Record
 from .constraints import ConstraintSystem, DecisionReport, check_classes, rank_mismatch
 from .errors import InputError
-
-if TYPE_CHECKING:
-    from .charclasses import EmbeddedSurfaceData
-else:
-    import pinlef
-
-    # The package loads charclasses, and dataclasses with it, when the name
-    # is first read from it (PEP 562), so typing.get_type_hints resolves it
-    # without this module loading them.
-    EmbeddedSurfaceData = ForwardRef("pinlef.EmbeddedSurfaceData", module=__name__)
 
 
 class LefschetzFibration(Record):
@@ -116,7 +105,8 @@ def fibration_h1_annihilator(f: LefschetzFibration) -> list[fl.VecGF2]:
     fiber's; acting by it permutes the solutions of either decision system
     freely and transitively.
     """
-    return fl.annihilator_gf2(f.z2_cycle_matrix())
+    checked = f._checked
+    return [fl._vector(k, checked.ncols) for k in checked.echelon.kernel]
 
 
 def _witness_from_combination(f: LefschetzFibration, support) -> ObstructionWitness:
@@ -193,36 +183,3 @@ def brute_force_pin_minus(f: LefschetzFibration) -> list[sf.EnhancementMinus]:
 def brute_force_pin_plus(f: LefschetzFibration) -> list[sf.EnhancementPlus]:
     """All plus enhancements taking the value 1 on every cycle (2**rank scan)."""
     return f._system("plus").brute_force()
-
-
-class SphereVerdicts(NamedTuple):
-    pin_minus: bool
-    pin_plus: bool
-
-
-def dual_surface_terms(d: EmbeddedSurfaceData) -> dict[str, int]:
-    """The dual surface's term of each kind in the verdicts over the sphere:
-    [sigma]^2 + cup + w1^2(nu(sigma)) for "minus", chi(sigma) + [sigma]^2
-    + cup for "plus", mod 2."""
-    return {
-        "minus": (d.self_intersection_mod2 + d.cup_term + d.w1sq_normal) % 2,
-        "plus": (d.euler_char_mod2 + d.self_intersection_mod2 + d.cup_term) % 2,
-    }
-
-
-def decide_pin_over_s2(
-    f: LefschetzFibration, dual_surface: EmbeddedSurfaceData
-) -> SphereVerdicts:
-    """Pin verdicts for a fibration over the sphere.
-
-    ``f`` describes the complement of a fiber neighbourhood as a fibration
-    over the disk; ``dual_surface`` carries the invariants of an embedded
-    surface dual to the fiber.  The total space is Pin- (Pin+) when the
-    disk part is and the "minus" ("plus") entry of
-    :func:`dual_surface_terms` vanishes.
-    """
-    terms = dual_surface_terms(dual_surface)
-    return SphereVerdicts(
-        pin_minus=decide_pin_minus(f).exists and terms["minus"] == 0,
-        pin_plus=decide_pin_plus(f).exists and terms["plus"] == 0,
-    )

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 import pinlef as P
+from pinlef.charclasses import over_s2
 from pinlef.errors import InputError
 
 RP2_IN_RP4 = P.EmbeddedSurfaceData(
@@ -78,3 +80,23 @@ def test_consistency_with_fibration_verdicts():
     )
     assert P.decide_pin_plus(f).exists == (not summary.pin_plus_obstructed)
     assert P.decide_pin_minus(f).exists == (not summary.pin_minus_obstructed)
+
+
+def test_sphere_mode_agrees_with_charclass_mode():
+    # Over a disk part with both structures, a verdict over the sphere is
+    # the dual surface's charclass verdict: for Pin+ always, and for Pin-
+    # exactly when w1^2(sigma) = chi(sigma) mod 2, as on every closed
+    # surface.  Over a disk part without the structure it is NO.
+    f = P.LefschetzFibration(P.orientable_surface(1, 1))
+    plus, minus = P.decide_pin_plus(f), P.decide_pin_minus(f)
+    assert plus.exists and minus.exists
+    rp4 = P.LefschetzFibration(P.non_orientable_surface(1, 1), (P.z4_class([2]),))
+    no = P.decide_pin_minus(rp4)
+    assert not no.exists
+    for values in product((0, 1), repeat=5):
+        d = P.EmbeddedSurfaceData(*values)
+        w2, w1sq = P.eval_w2(d), P.eval_w1sq(d)
+        assert over_s2(plus, d) == (w2 == 0)
+        agree = over_s2(minus, d) == ((w2 + w1sq) % 2 == 0)
+        assert agree == (d.w1sq_sigma == d.euler_char_mod2)
+        assert not over_s2(no, d)

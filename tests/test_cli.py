@@ -147,6 +147,12 @@ def test_parse_content_before_section():
         cli.parse("kind = orientable\n")
 
 
+def test_parse_surface_block_without_kind():
+    with pytest.raises(ParseError) as err:
+        cli.parse("[surface]\ngenus = 1\n")
+    assert str(err.value) == "line 1: surface block needs a 'kind'"
+
+
 @pytest.mark.parametrize("text", [RP4_TEXT, THREEFOLD_TEXT, SPHERE_TEXT])
 def test_parse_serialize_roundtrip(text):
     doc = cli.parse(text)
@@ -442,6 +448,32 @@ def test_sphere_mode_decides_each_kind_once(rref_calls, kind, eliminations):
         cli.run("decide", cli.parse(text), kind=kind)
         counts.append(len(calls))
     assert counts == [eliminations, eliminations]
+
+
+_SECOND_DUAL_SURFACE = (
+    "\n[embedded-surface]\neuler = 0\nself_intersection = 0\ncup = 0\n"
+    "w1sq_surface = 0\nw1sq_normal = 0\n"
+)
+
+
+def test_sphere_refusal_comes_before_any_elimination(rref_calls, capsys, tmp_path):
+    doc = tmp_path / "two-duals.pinlef"
+    doc.write_text(SPHERE_TEXT + _SECOND_DUAL_SURFACE)
+    assert cli.main(["decide", str(doc)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: a fibration-over-the-sphere document takes exactly one "
+        "embedded-surface block (the dual surface)\n",
+    )
+    assert rref_calls == []
+    # An invalid fibration is refused first.
+    doc.write_text(
+        "[surface]\nkind = non-orientable\ncrosscaps = 1\nboundary = 1\n"
+        "[cycles]\n1\n" + SPHERE_TEXT.split("[cycles]\n")[1] + _SECOND_DUAL_SURFACE
+    )
+    assert cli.main(["decide", str(doc)]) == 2
+    assert "odd self-intersection" in capsys.readouterr().err
+    assert rref_calls == []
 
 
 # A closed fiber with three crosscaps carries no Pin+ structure, so its

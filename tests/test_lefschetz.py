@@ -8,10 +8,16 @@ from itertools import combinations, product
 import pytest
 
 import pinlef as P
+from pinlef import finite_linalg as fl
 from pinlef import surfaces as sf
 from pinlef.constraints import ConstraintSystem
 from pinlef.errors import InputError, InvariantViolation
-from helpers import RANK_3_4_FIBERS, RANK_LE_2_FIBERS, sample_instances
+from helpers import (
+    RANK_3_4_FIBERS,
+    RANK_LE_2_FIBERS,
+    random_two_sided_row,
+    sample_instances,
+)
 
 MOEBIUS = P.non_orientable_surface(1, 1)
 
@@ -200,6 +206,33 @@ def test_annihilator_partial_span():
     report = P.decide_pin_minus(f)
     if report.exists:
         assert report.structure_count == 2
+
+
+@pytest.mark.parametrize("seed", [5, 17, 29])
+def test_annihilator_equals_a_fresh_elimination(seed):
+    # A closed fiber of 20 crosscaps with 30 cycles leaves a narrow kernel,
+    # read off the echelon; the others are back-substituted.
+    rng = random.Random(seed)
+    fibrations = sample_instances(rng, RANK_LE_2_FIBERS + RANK_3_4_FIBERS, 100)
+    closed = P.non_orientable_surface(20, 0)
+    for n in (0, 5, 18, 30):
+        cycles = tuple(P.z4_class(random_two_sided_row(rng, 20)) for _ in range(n))
+        fibrations.append(P.LefschetzFibration(closed, cycles))
+    for f in fibrations:
+        got = P.fibration_h1_annihilator(f)
+        want = P.annihilator_gf2(f.z2_cycle_matrix())
+        assert [v.tolist() for v in got] == [v.tolist() for v in want]
+
+
+def test_annihilator_reads_the_deciders_elimination(monkeypatch):
+    calls = []
+    original = fl.echelon_bits
+    monkeypatch.setattr(fl, "echelon_bits", lambda C: calls.append(C) or original(C))
+    fiber = P.non_orientable_surface(3, 1)
+    f = P.LefschetzFibration(fiber, (P.z4_class([1, 1, 0]), P.z4_class([2, 0, 0])))
+    P.decide_pin_minus(f)
+    assert len(P.fibration_h1_annihilator(f)) == 2
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

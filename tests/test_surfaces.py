@@ -707,3 +707,8 @@ def test_numpy_entries_out_of_range_keep_the_message(call, message):
     with pytest.raises(InputError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_z2_reduction_of_a_z2_class_is_that_class():
+    x = P.z2_class((1, 0, 1))
+    assert sf.z2_reduction(x) is x

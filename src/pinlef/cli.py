@@ -21,8 +21,14 @@ lines.  ``pinlef`` streams its report in pieces of whole lines, at most
 ``enumerate`` listing is never held whole.
 
 Exit status: 0 when every requested structure exists (or the oracle
-agrees), 1 otherwise, 2 on input errors.  Reports are byte-deterministic
-for identical inputs.
+agrees), 1 otherwise, 2 on input errors and on a report that cannot be
+written (``error: cannot write report: ...``).  Reports are
+byte-deterministic for identical inputs.
+
+:func:`main` returns the exit status, for callers in the same process.
+The console script, :func:`console_main`, flushes stdout and stderr after
+it and then leaves through ``os._exit``, without interpreter finalization,
+so ``atexit`` handlers registered by other code do not run after a report.
 
 Help and argument errors are argparse's.  A well-formed command line, the
 command and the file with at most one ``--kind K`` and one ``--format F``
@@ -72,10 +78,9 @@ _KEYS = {
 # at form feeds, U+0085, U+2028 and other separators.  This pattern and
 # _ROW are compiled on first use, through re's cache.
 _LINE_END = r"\r\n?|\n"
-_SECTION_RE = re.compile(r"^\[([a-z-]+)\]$")
-_KEY_RE = re.compile(r"^([A-Za-z0-9_-]+)\s*=\s*(.*)$")
-# int() also takes "+1", "1_0" and non-ASCII digits; documents may not.
-_INT_RE = re.compile(r"-?[0-9]+")
+# The characters of a section name, and those of a key.
+_SECTION_CHARS = "abcdefghijklmnopqrstuvwxyz-"
+_KEY_CHARS = _SECTION_CHARS + _SECTION_CHARS.upper() + "0123456789_"
 # A residue row: such integers, each with optional spaces, between commas.
 _ROW = r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*"
 # Each of the digits 0-3 to the byte of its value.
@@ -115,15 +120,27 @@ def _quote(text: str) -> str:
 
 
 def _parse_int(text: str, line: int, what: str) -> int:
-    if not _INT_RE.fullmatch(text):
+    # int() also takes "+1", "1_0" and non-ASCII digits; documents may not.
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
         raise ParseError(line, f"{what} must be an integer, got {_quote(text)}")
     try:
         return int(text)
     except ValueError:  # more digits than int() converts
-        digits = len(text.lstrip("-"))
         raise ParseError(
-            line, f"{what} is out of range: {digits} digits, from {text[:12]!r}"
+            line, f"{what} is out of range: {len(digits)} digits, from {text[:12]!r}"
         ) from None
+
+
+def _key_value(line: str) -> tuple[str, str] | None:
+    """The key and value of a stripped ``key = value`` line, else None.  The
+    key is ASCII letters, digits, ``_`` and ``-``; whitespace may stand
+    around the ``=``."""
+    head, eq, value = line.partition("=")
+    key = head.rstrip()
+    if not eq or not key or key.strip(_KEY_CHARS):
+        return None
+    return key, value.strip()
 
 
 def _parse_row(text: str, line: int) -> bytes | list[int]:
@@ -177,9 +194,8 @@ def parse(text: str) -> InputDocument:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = line[0] == "[" and _SECTION_RE.match(line)
-        if m:
-            name = m.group(1)
+        name = line[0] == "[" and line[-1] == "]" and line[1:-1]
+        if name and not name.strip(_SECTION_CHARS):
             if name not in _KEYS:
                 raise ParseError(lineno, f"unknown section [{name}]")
             if name != "embedded-surface" and name in seen:
@@ -192,14 +208,14 @@ def parse(text: str) -> InputDocument:
         if section is None:
             raise ParseError(lineno, "content before any section header")
         if section == "cycles":
-            if "=" in line and _KEY_RE.match(line) and not re.match(r"^\d", line):
+            if "=" in line and _key_value(line) and line[0] not in "0123456789":
                 raise ParseError(lineno, "the cycles section holds residue rows only")
             cycles_rows.append((_parse_row(line, lineno), lineno))
             continue
-        m = _KEY_RE.match(line)
-        if not m:
+        pair = _key_value(line)
+        if pair is None:
             raise ParseError(lineno, f"expected 'key = value', got {_quote(line)}")
-        key, value = m.group(1), m.group(2).strip()
+        key, value = pair
         if section == "threefold" and key in three_rows:
             three_rows[key].append((_parse_row(value, lineno), lineno))
             continue
@@ -780,16 +796,34 @@ def main(argv=None) -> int:
     except PinlefError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    out = sys.stdout
+    if out is None:  # started with stdout closed (``pinlef ... >&-``)
+        print("error: cannot write report: stdout is closed", file=sys.stderr)
+        return 2
     try:
         # A piece at a time: a long enumerate report is never held whole.
-        sys.stdout.writelines(piece + "\n" for piece in _render(sections, fmt))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader stopped early (``pinlef enumerate ... | head``).  Send
-        # what is left to devnull, so the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        out.writelines(piece + "\n" for piece in _render(sections, fmt))
+        out.flush()
+    except OSError as e:
+        # Send what is left to devnull, so no later flush can fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        # A reader that stopped early (``pinlef enumerate ... | head``) is
+        # no error; a full disk (``> /dev/full``) is.
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: cannot write report: {e}", file=sys.stderr)
+            return 2
     return status
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    """The ``pinlef`` console script.  Once :func:`main` returns, stdout
+    and stderr are flushed and the process ends with its status at once,
+    skipping interpreter finalization: ``atexit`` handlers do not run.
+    Exceptions, argparse's ``SystemExit`` among them, propagate as usual."""
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(status)

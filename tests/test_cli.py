@@ -898,19 +898,24 @@ def test_main_streams_the_largest_enumerate_listing(tmp_path, fmt):
     assert peak < 1 << 20
 
 
+def _fresh_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this pinlef."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_console_main_stops_quietly_when_the_reader_does(tmp_path):
     # As in `pinlef enumerate product.pinlef | head -1`: about 4 MiB of report
     # meets a reader that closes the pipe after one line.
     doc = tmp_path / "product.pinlef"
     doc.write_text("[surface]\nkind = orientable\ngenus = 8\nboundary = 1\n")
     entry = "from pinlef.cli import console_main; console_main()"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
         [sys.executable, "-c", entry, "enumerate", str(doc)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_fresh_env(),
     )
     assert proc.stdout.readline().startswith(b"Pin+ structures (65536)")
     proc.stdout.close()
@@ -918,6 +923,126 @@ def test_console_main_stops_quietly_when_the_reader_does(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+_CONSOLE = (
+    "import sys; from pinlef.cli import console_main; "
+    "sys.argv[0] = 'pinlef'; console_main()"
+)
+_BUNDLED = ("rp4.pinlef", "s2xrp2.pinlef", "s2xtrp2.pinlef")
+posix_only = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="needs /dev/full and sh"
+)
+
+
+def _console(
+    argv, prefix=(), stdout=subprocess.PIPE, entry=_CONSOLE
+) -> tuple[bytes, str, int]:
+    """The stdout bytes, stderr and exit status of ``pinlef ARGV`` run
+    through the console entry in a fresh process; ``prefix`` goes before
+    the interpreter on the command line."""
+    proc = subprocess.run(
+        [*prefix, sys.executable, "-c", entry, *map(str, argv)],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=_fresh_env(),
+        timeout=120,
+    )
+    return proc.stdout, proc.stderr.decode(), proc.returncode
+
+
+def _main_outcome(capsys, argv) -> tuple[bytes, str, object]:
+    """What :func:`_console` reports, from ``cli.main`` in this process."""
+    out, err, status = _outcome(capsys, cli.main, [str(a) for a in argv])
+    return out.encode(), err, status
+
+
+@pytest.mark.parametrize("name", _BUNDLED)
+@pytest.mark.parametrize("command", cli._COMMANDS)
+@pytest.mark.parametrize("fmt", cli._FORMATS)
+def test_console_entry_reports_as_main_does(capsys, name, command, fmt):
+    argv = [command, cli.bundled_example(name), "--format", fmt]
+    out, err, status = _console(argv)
+    assert (out, err, status) == _main_outcome(capsys, argv)
+    assert out.endswith(b"\n") and not err and status in (0, 1)
+
+
+def test_console_entry_reports_a_malformed_document(capsys, tmp_path):
+    bad = tmp_path / "bad.pinlef"
+    bad.write_text("[surface]\nkind = orientable\ngenus = 1x\n")
+    out, err, status = _console(["decide", bad])
+    assert (out, err, status) == _main_outcome(capsys, ["decide", bad])
+    message = "error: line 3: genus must be an integer, got '1x'\n"
+    assert (out, err, status) == (b"", message, 2)
+
+
+def test_console_entry_reports_a_missing_file(capsys, tmp_path):
+    argv = ["enumerate", tmp_path / "missing.pinlef"]
+    out, err, status = _console(argv)
+    assert (out, err, status) == _main_outcome(capsys, argv)
+    assert out == b"" and err.startswith("error: cannot read ") and status == 2
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", _RP4]], ids=["help", "unknown"])
+def test_console_entry_leaves_help_and_usage_errors_to_argparse(
+    capsys, monkeypatch, argv
+):
+    # argparse wraps its text to COLUMNS; both sides read the same value.
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err, status = _console(argv)
+    assert (out, err, status) == _main_outcome(capsys, argv)
+    assert status in (0, 2)
+    assert (out if status == 0 else err.encode()).startswith(b"usage: pinlef")
+
+
+def test_console_entry_writes_a_long_listing_whole_to_a_file(tmp_path):
+    # 2**14 Pin- structures: a block-buffered file must get every byte
+    # before the process ends.
+    doc = tmp_path / "product.pinlef"
+    doc.write_text("[surface]\nkind = orientable\ngenus = 7\nboundary = 1\n")
+    report = tmp_path / "report.txt"
+    with open(report, "wb") as sink:
+        out, err, status = _console(["enumerate", doc, "--kind", "minus"], stdout=sink)
+    text, expected = cli.run("enumerate", cli.parse(doc.read_text()), "minus")
+    assert (out, err, status) == (None, "", expected)
+    assert text.count("\n") == (1 << 14) + 1
+    assert report.read_bytes() == text.encode()
+
+
+def test_console_entry_ends_without_finalization():
+    # atexit handlers run after an exception out of main (argparse's exit),
+    # not after a report.
+    hook = "import atexit; atexit.register(print, 'atexit ran', file=sys.stderr); "
+    entry = _CONSOLE.replace("import sys; ", "import sys; " + hook)
+    for argv, ran in ([["decide", _RP4], False], [["solve", _RP4], True]):
+        err = _console(argv, entry=entry)[1]
+        assert ("atexit ran\n" in err) is ran, err
+
+
+@posix_only
+def test_console_entry_reports_a_full_disk(capsys, monkeypatch):
+    argv = ["decide", _RP4]
+    with open("/dev/full", "wb") as full:
+        outcome = _console(argv, stdout=full)
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        _, err, status = _main_outcome(capsys, argv)
+    message = "error: cannot write report: [Errno 28] No space left on device\n"
+    assert outcome == (None, err, status) == (None, message, 2)
+
+
+@posix_only
+def test_console_entry_reports_a_closed_stdout(capsys, monkeypatch):
+    argv = ["decide", _RP4]
+    outcome = _console(
+        argv, prefix=["sh", "-c", 'exec "$@" >&-', "sh"], stdout=subprocess.DEVNULL
+    )
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert outcome == (None, err, 2)
+    assert err == "error: cannot write report: stdout is closed\n"
 
 
 def test_cli_never_imports_numpy(tmp_path):
@@ -937,13 +1062,11 @@ for f in files:
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 assert not loaded, loaded
 """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_fresh_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -952,13 +1075,11 @@ assert not loaded, loaded
 def _modules_after(script: str, *args: str) -> set[str]:
     """The modules a fresh interpreter holds after running ``script``, which
     ends by writing ``sys.modules`` to stderr."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_fresh_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -1158,6 +1279,17 @@ def _belt_row(row: str) -> str:
             5,
             "expected 'key = value', got 'boundary 999'... (5009 characters)",
         ),
+        (
+            RP4_TEXT.replace("[surface]", "[Surface]"),
+            2,
+            "content before any section header",
+        ),
+        (
+            RP4_TEXT.replace("boundary = 1", "b.ary = 1"),
+            5,
+            "expected 'key = value', got 'b.ary = 1'",
+        ),
+        (RP4_TEXT.replace("\n2\n", "\n2 = 1\n"), 8, "malformed residue row '2 = 1'"),
     ],
     ids=[
         "cycles-key",
@@ -1186,6 +1318,9 @@ def _belt_row(row: str) -> str:
         "long-malformed-row",
         "long-non-integer",
         "long-line-without-equals",
+        "upper-case-section",
+        "key-with-dot",
+        "cycles-row-with-equals",
     ],
 )
 def test_parse_error_lines_and_reasons(text, line, reason):

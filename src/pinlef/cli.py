@@ -56,6 +56,12 @@ if TYPE_CHECKING:
 
     from .charclasses import EmbeddedSurfaceData
 
+    # A section as parse reads it: its name, header line, key -> (value,
+    # line) pairs and rows.  A row is its key (None in [cycles]), its
+    # entries and its line.
+    _Row = tuple[str | None, bytes | list[int], int]
+    _Block = tuple[str, int, dict[str, tuple[str, int]], list[_Row]]
+
 # Each [embedded-surface] key and the EmbeddedSurfaceData field it sets.
 _EMBEDDED_FIELDS = {
     "euler": "euler_char_mod2",
@@ -179,18 +185,11 @@ def parse(text: str) -> InputDocument:
             unknown sections or keys, wrong arity, out-of-range residues,
             or a missing surface block.
     """
-    pairs: dict[str, dict[str, tuple[str, int]]] = {"surface": {}, "threefold": {}}
-    cycles_rows: list[tuple[bytes | list[int], int]] = []
-    seen: dict[str, int] = {}
-    three_rows: dict[str, list[tuple[bytes | list[int], int]]] = {
-        k: [] for k in _ROW_KEYS
-    }
-    embedded: list[tuple[dict[str, tuple[str, int]], int]] = []
-    section: str | None = None
-    last_line = 0
+    blocks: list[_Block] = []
+    section = kv = rows = None
+    lineno = 0
 
     for lineno, raw in enumerate(_lines(text.removeprefix("\ufeff")), start=1):
-        last_line = lineno
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -198,65 +197,50 @@ def parse(text: str) -> InputDocument:
         if name and not name.strip(_SECTION_CHARS):
             if name not in _KEYS:
                 raise ParseError(lineno, f"unknown section [{name}]")
-            if name != "embedded-surface" and name in seen:
+            if name != "embedded-surface" and any(b[0] == name for b in blocks):
                 raise ParseError(lineno, f"duplicate section [{name}]")
-            seen[name] = lineno
-            if name == "embedded-surface":
-                embedded.append(({}, lineno))
-            section = name
+            section, kv, rows = name, {}, []
+            blocks.append((name, lineno, kv, rows))
             continue
         if section is None:
             raise ParseError(lineno, "content before any section header")
         if section == "cycles":
             if "=" in line and _key_value(line) and line[0] not in "0123456789":
                 raise ParseError(lineno, "the cycles section holds residue rows only")
-            cycles_rows.append((_parse_row(line, lineno), lineno))
+            rows.append((None, _parse_row(line, lineno), lineno))
             continue
         pair = _key_value(line)
         if pair is None:
             raise ParseError(lineno, f"expected 'key = value', got {_quote(line)}")
         key, value = pair
-        if section == "threefold" and key in three_rows:
-            three_rows[key].append((_parse_row(value, lineno), lineno))
+        if section == "threefold" and key in _ROW_KEYS:
+            rows.append((key, _parse_row(value, lineno), lineno))
             continue
         if key not in _KEYS[section]:
             raise ParseError(lineno, f"unknown {section} key {key!r}")
-        kv = embedded[-1][0] if section == "embedded-surface" else pairs[section]
         if key in kv:
             raise ParseError(lineno, f"duplicate {section} key {key!r}")
         kv[key] = (value, lineno)
 
-    if "surface" not in seen:
-        raise ParseError(last_line or 1, "missing surface block")
-
-    surface = _build_surface(pairs["surface"], seen["surface"])
-    pres = sf.homology_presentation(surface)
-
+    # Each section by name; of the [embedded-surface] blocks, only the last.
+    named = {block[0]: block for block in blocks}
+    if "surface" not in named:
+        raise ParseError(lineno or 1, "missing surface block")
+    surface = _build_surface(named["surface"])
     cycles: tuple[sf.HomologyClass, ...] | None = None
-    if "cycles" in seen:
+    if "cycles" in named:
         message = "cycle has {} coordinates, expected {}"
-        cycles = _residue_classes(cycles_rows, pres.z2_rank, message)
-
+        cycles = _residue_classes(named["cycles"][3], surface.z2_rank, message)
     threefold = None
-    if "threefold" in seen:
-        threefold = _build_threefold(
-            pairs["threefold"], three_rows, surface, seen["threefold"]
-        )
-
-    blocks = tuple([
-        _build_embedded(kv, block_line, n)
-        for n, (kv, block_line) in enumerate(embedded, start=1)
-    ])
-
-    return InputDocument(
-        surface=surface,
-        cycles=cycles,
-        threefold=threefold,
-        embedded_surfaces=blocks,
-    )
+    if "threefold" in named:
+        threefold = _build_threefold(named["threefold"], surface)
+    embedded = [block for block in blocks if block[0] == "embedded-surface"]
+    built = [_build_embedded(block, n) for n, block in enumerate(embedded, start=1)]
+    return InputDocument(surface, cycles, threefold, tuple(built))
 
 
-def _build_surface(kv: dict[str, tuple[str, int]], header_line: int) -> sf.SurfaceModel:
+def _build_surface(block: _Block) -> sf.SurfaceModel:
+    _, header_line, kv, _ = block
     if "kind" not in kv:
         raise ParseError(header_line, "surface block needs a 'kind'")
     kind, kind_line = kv["kind"]
@@ -283,12 +267,11 @@ def _build_surface(kv: dict[str, tuple[str, int]], header_line: int) -> sf.Surfa
         raise ParseError(header_line, str(e)) from None
 
 
-def _build_embedded(
-    kv: dict[str, tuple[str, int]], header_line: int, n: int
-) -> EmbeddedSurfaceData:
+def _build_embedded(block: _Block, n: int) -> EmbeddedSurfaceData:
     # Only documents with an [embedded-surface] block load charclasses.
     from .charclasses import EmbeddedSurfaceData
 
+    _, header_line, kv, _ = block
     fields = {}
     for key, field in _EMBEDDED_FIELDS.items():
         if key not in kv:
@@ -304,11 +287,9 @@ def _build_embedded(
 
 
 def _build_threefold(
-    kv: dict[str, tuple[str, int]],
-    rows: dict[str, list[tuple[bytes | list[int], int]]],
-    surface: sf.SurfaceModel,
-    header_line: int,
+    block: _Block, surface: sf.SurfaceModel
 ) -> tf.HandlebodyDecomposition3:
+    _, header_line, kv, rows = block
     if "genus" not in kv:
         raise ParseError(header_line, "threefold block needs 'genus'")
     genus = _parse_int(*kv["genus"], "genus")
@@ -326,13 +307,14 @@ def _build_threefold(
         )
     classes = []
     for key in _ROW_KEYS:
-        if len(rows[key]) != genus:
+        keyed = [row for row in rows if row[0] == key]
+        if len(keyed) != genus:
             raise ParseError(
                 header_line,
-                f"threefold block needs {genus} {key} rows, got {len(rows[key])}",
+                f"threefold block needs {genus} {key} rows, got {len(keyed)}",
             )
         message = key + " row has {} entries, expected {}"
-        classes.append(_residue_classes(rows[key], 2 * genus, message))
+        classes.append(_residue_classes(keyed, 2 * genus, message))
     try:
         return tf.HandlebodyDecomposition3(genus, *classes)
     except PinlefError as e:
@@ -340,19 +322,19 @@ def _build_threefold(
 
 
 def _residue_classes(
-    rows: list[tuple[bytes | list[int], int]], length: int, message: str
+    rows: list[_Row], length: int, message: str
 ) -> tuple[sf.HomologyClass, ...]:
     """Z4 classes from parsed residue rows; ``message`` formats the actual
     and expected length of a row that is not ``length`` long.  Rows read
     as bytes hold residues 0..3 only."""
-    for row, lineno in rows:
+    for _, row, lineno in rows:
         if len(row) != length:
             raise ParseError(lineno, message.format(len(row), length))
         if row.__class__ is not bytes:
             for a in row:
                 if not 0 <= a <= 3:
                     raise ParseError(lineno, f"residue {sf.brief(a)} out of range 0..3")
-    return tuple([sf.HomologyClass("Z4", row) for row, _ in rows])
+    return tuple([sf.HomologyClass("Z4", row) for _, row, _ in rows])
 
 
 def serialize(doc: InputDocument) -> str:
@@ -605,7 +587,7 @@ def _run_enumerate(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
 
 
 def _run_oracle(doc: InputDocument, kind: str) -> tuple[list[_Section], int]:
-    rank = sf.homology_presentation(_target(doc, "oracle")).z2_rank
+    rank = _target(doc, "oracle").z2_rank
     if rank > _ORACLE_RANK_LIMIT:
         raise InputError(f"oracle refused: z2 rank {rank} exceeds {_ORACLE_RANK_LIMIT}")
     x = _subject(doc)
@@ -708,9 +690,7 @@ def run(command: str, doc: InputDocument, kind: str = "both", fmt: str = "text")
 
 def bundled_example(name: str) -> Path:
     """Path to one of the example files shipped with the package."""
-    from importlib import resources
-
-    return Path(str(resources.files(__package__).joinpath("data", name)))
+    return Path(__file__).parent / "data" / name
 
 
 # Each option: the name it is stored under, its values, its default and

@@ -221,6 +221,66 @@ def test_roundtrip_distinguishes_missing_and_empty_cycles():
     assert cli.parse(cli.serialize(without)) == without
 
 
+@given(
+    _documents().filter(lambda doc: not doc.cycles or doc.surface.z2_rank),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_parse_reads_sections_in_any_order(doc, data):
+    # serialize writes the sections in one order; parse takes any other, with
+    # any line ends.  The [embedded-surface] blocks keep their relative order,
+    # which numbers them.
+    sections = cli.serialize(doc).rstrip("\n").split("\n\n")
+    shuffled = data.draw(st.permutations(sections))
+    blocks = iter([s for s in sections if s.startswith("[embedded-surface]")])
+    shuffled = [
+        next(blocks) if s.startswith("[embedded-surface]") else s for s in shuffled
+    ]
+    lines = "\n".join(shuffled).split("\n")
+    n = len(lines)
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    ends = data.draw(st.lists(end, min_size=n, max_size=n))
+    assert cli.parse("".join(map(str.__add__, lines, ends))) == doc
+
+
+@pytest.mark.parametrize(
+    "text, line, reason",
+    [
+        (
+            "[surface]\nkind = non-orientable\ncrosscaps = 2\n"
+            "[cycles]\n1,1,0\n[threefold]\ngenus = 0\n",
+            5,
+            "cycle has 3 coordinates, expected 2",
+        ),
+        (
+            "[surface]\nkind = non-orientable\ncrosscaps = 2\n"
+            "[embedded-surface]\neuler = 1\n[threefold]\ngenus = 1\nattach = 1,1\n",
+            6,
+            "threefold block needs 1 belt rows, got 0",
+        ),
+        ("[cycles]\n1,7\n[surface]\ngenus = 1\n", 3, "surface block needs a 'kind'"),
+        ("[surface]\ngenus = 1\n[cycles]\n9\n[bogus]\n", 5, "unknown section [bogus]"),
+        ("# a\n\n[cycles]\n1,0\n\n\n", 6, "missing surface block"),
+        ("", 1, "missing surface block"),
+    ],
+    ids=[
+        "cycles-before-threefold",
+        "threefold-before-embedded",
+        "surface-before-cycles",
+        "line-fault-first",
+        "missing-surface-at-last-line",
+        "missing-surface-in-empty-document",
+    ],
+)
+def test_parse_reports_faults_in_section_order(text, line, reason):
+    # A fault on a line is raised as the line is read.  Faults that need a
+    # whole section are raised after the read: surface, cycles, threefold,
+    # then each embedded-surface block, wherever the sections stand.
+    with pytest.raises(ParseError) as err:
+        cli.parse(text)
+    assert (err.value.line, err.value.reason) == (line, reason)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------

@@ -26,15 +26,8 @@ if TYPE_CHECKING:
     from .lefschetz import ObstructionWitness
 
 
-# Each kind's enhancement class and value on a Z4 class c, evaluate(plane,
-# c, presentation), read off c's planes (minus: its mod-2 one) and the one
-# plane of values a correction moves (minus: high, plus: parity); plane 0
-# is the base q0, e.e on each generator for minus and 0 for plus.  A system
-# reads q0 on all its classes at once (ConstraintSystem._targets).
-_KINDS = {
-    "minus": (sf.EnhancementMinus, sf._minus_value),
-    "plus": (sf.EnhancementPlus, sf._plus_value),
-}
+# The kind table; the tests' candidate scan (tests/helpers.py) reads it here.
+_KINDS = sf._KINDS
 
 
 # The most bytes in one piece of StructureSet.lines, unless one line is longer.
@@ -66,31 +59,6 @@ def _tile(row: int, bits: int, n: int) -> int:
     return row
 
 
-def _spread(kind: str, s: sf.SurfaceModel, first: int, rows, gap: int = 1):
-    """The values of the structure of ``kind`` on s that the bit row first
-    names, and the values each bit row in rows adds (step at its bits), as
-    ints of a byte per generator followed by gap - 1 zero bytes, the first
-    generator most significant.  The base values (the diagonal for minus,
-    0 for plus) are below step, so XOR with an added row moves from one
-    structure's values to another's."""
-    r, step = s.z2_rank, _KINDS[kind][0].step
-
-    def spread(x: int) -> int:
-        body = bytearray(gap * r)
-        body[::gap] = fl.unpack_bits(x, r)
-        return int.from_bytes(body, "big")
-
-    base = sf.homology_presentation(s).one_sided if step == 2 else 0
-    return spread(base) | spread(first) * step, [spread(x) * step for x in rows]
-
-
-def _structures(kind: str, s: sf.SurfaceModel, rows) -> list:
-    """The structure each bit row in rows names, built."""
-    base, added = _spread(kind, s, 0, rows)
-    cls, r = _KINDS[kind][0], s.z2_rank
-    return [cls(s, tuple((base ^ v).to_bytes(r, "big"))) for v in added]
-
-
 class StructureSet(Record):
     """The solutions of a system, described without listing them.
 
@@ -120,6 +88,10 @@ class StructureSet(Record):
         object.__setattr__(self, "kernel", kernel)
 
     @property
+    def _cls(self) -> type:
+        return _KINDS[self.kind][0]
+
+    @property
     def count(self) -> int:
         return 0 if self.first is None else 1 << len(self.kernel)
 
@@ -145,32 +117,30 @@ class StructureSet(Record):
         for j, row in enumerate(reversed(self.kernel)):
             if i >> j & 1:
                 x ^= row
-        return _structures(self.kind, self.surface, [x])[0]
+        return sf._structures(self._cls, self.surface, [x])[0]
 
     def __contains__(self, q) -> bool:
         if (
             self.first is None
-            or type(q) is not _KINDS[self.kind][0]
+            or type(q) is not self._cls
             or q.surface != self.surface
         ):
             return False
-        # Base values are below step, so q's row is its high (minus) or low plane.
-        rest = (q._high if self.kind == "minus" else q._bits) ^ self.first
+        rest = sf._row(q) ^ self.first
         for row in self.kernel:
             if rest >> (row.bit_length() - 1) & 1:
                 rest ^= row
         return rest == 0
 
     def __iter__(self) -> Iterator[sf.EnhancementMinus | sf.EnhancementPlus]:
-        cls = _KINDS[self.kind][0]
-        return (cls(self.surface, tuple(v)) for v in self.values())
+        return (self._cls(self.surface, tuple(v)) for v in self.values())
 
     def values(self) -> Iterator[bytes]:
         """Each structure's generator values as a bytes row, one byte per
         generator, in iteration order, without building the enhancements."""
         if self.first is None:
             return iter(())
-        first, rows = _spread(self.kind, self.surface, self.first, self.kernel)
+        first, rows = sf._spread(self._cls, self.surface, self.first, self.kernel)
         r = self.surface.z2_rank
         return (v.to_bytes(r, "big") for v in _walk(first, rows))
 
@@ -187,7 +157,7 @@ class StructureSet(Record):
         template = (prefix + ",".join("0" * self.surface.z2_rank) + "\n").encode()
         # A value lands on a digit of a line's last 2r bytes, the rest being
         # commas and the newline; XOR with 0..3 turns a '0' into that digit.
-        first, rows = _spread(self.kind, self.surface, self.first, self.kernel, 2)
+        first, rows = sf._spread(self._cls, self.surface, self.first, self.kernel, 2)
         width, d = len(template), len(rows)
         m = max(0, min(d, (_PIECE // width).bit_length() - 1))
         # A block of 2**m lines, doubled once per low kernel row, each row
@@ -421,7 +391,7 @@ class ConstraintSystem(Record):
     def brute_force(self) -> list:
         """Every enhancement meeting the targets, built from
         :meth:`hit_rows`' scan of all 2**rank candidates."""
-        return _structures(self.kind, self.surface, self.hit_rows())
+        return sf._structures(_KINDS[self.kind][0], self.surface, self.hit_rows())
 
 
 def _tests(columns: list[int]) -> list[int]:

@@ -29,7 +29,10 @@ Two kinds of quadratic enhancement refine the intersection pairing:
 Both are stored by their values on the generators.  The full enhancement
 sets are torsors over mod-2 cohomology via :func:`act_h1`: a cohomology
 bit moves a generator value by the class's ``step`` (minus 2, plus 1),
-mod 2 * step.
+mod 2 * step.  The base values (:func:`base_enhancement_minus`, ``_plus``)
+sit below step, so an enhancement is named by its correction row, the
+generators whose values reach step, and every enhancement is built from
+its row (``_structures``).
 """
 
 from __future__ import annotations
@@ -442,7 +445,7 @@ class EnhancementPlus(_Enhancement):
 
 def base_enhancement_minus(s: SurfaceModel) -> EnhancementMinus:
     """The default minus enhancement: q(e) = e.e in {0, 1} on each generator."""
-    return EnhancementMinus(s, homology_presentation(s).diagonal)
+    return _structures(EnhancementMinus, s, [0])[0]
 
 
 def base_enhancement_plus(s: SurfaceModel) -> EnhancementPlus:
@@ -451,8 +454,7 @@ def base_enhancement_plus(s: SurfaceModel) -> EnhancementPlus:
     Like every plus enhancement it is well defined exactly when the surface
     carries a Pin+ structure.
     """
-    pres = homology_presentation(s)
-    return EnhancementPlus(s, (0,) * pres.z2_rank)
+    return _structures(EnhancementPlus, s, [0])[0]
 
 
 def eval_qminus(q: EnhancementMinus, x: HomologyClass) -> int:
@@ -507,6 +509,49 @@ def _plus_value(low: int, x: HomologyClass, pres: HomologyPresentation) -> int:
     return terms.bit_count() & 1
 
 
+# Each kind's enhancement class and value on a Z4 class c, evaluate(plane,
+# c, presentation), read off c's planes (minus: its mod-2 one) and the one
+# plane of values a correction moves (minus: high, plus: parity); plane 0
+# is the base q0.  Only the tests' one-candidate-at-a-time scan
+# (tests/helpers.py) reads the evaluators: a system reads q0 on all its
+# classes at once (constraints.ConstraintSystem._targets).
+_KINDS = {
+    "minus": (EnhancementMinus, _minus_value),
+    "plus": (EnhancementPlus, _plus_value),
+}
+
+
+def _row(q: EnhancementMinus | EnhancementPlus) -> int:
+    """q's correction row: base values sit below step, so it is the plane
+    a step lands on, high for minus and parity for plus."""
+    return q._high if q.step == 2 else q._bits
+
+
+def _spread(cls: type, s: SurfaceModel, first: int, rows, gap: int = 1):
+    """The values of the enhancement of class cls on s that the bit row
+    first names, and the values each bit row in rows adds (step at its
+    bits), as ints of a byte per generator followed by gap - 1 zero bytes,
+    the first generator most significant.  The base values (the diagonal
+    for minus, 0 for plus) are below step, so XOR with an added row moves
+    from one enhancement's values to another's."""
+    r, step = s.z2_rank, cls.step
+
+    def spread(x: int) -> int:
+        body = bytearray(gap * r)
+        body[::gap] = fl.unpack_bits(x, r)
+        return int.from_bytes(body, "big")
+
+    base = homology_presentation(s).one_sided if step == 2 else 0
+    return spread(base) | spread(first) * step, [spread(x) * step for x in rows]
+
+
+def _structures(cls: type, s: SurfaceModel, rows) -> list:
+    """The enhancement of class cls on s that each bit row in rows names, built."""
+    base, added = _spread(cls, s, 0, rows)
+    r = s.z2_rank
+    return [cls(s, tuple((base ^ v).to_bytes(r, "big"))) for v in added]
+
+
 def act_h1(q: EnhancementMinus | EnhancementPlus, gamma):
     """Act on an enhancement by a mod-2 cohomology class.
 
@@ -515,22 +560,24 @@ def act_h1(q: EnhancementMinus | EnhancementPlus, gamma):
     gamma; either way acting twice by the same class is the identity, and
     the action is free and transitive on the full enhancement set.
     """
-    pres = homology_presentation(q.surface)
     bits = _residues(gamma, 2)
-    if len(bits) != pres.z2_rank:
+    if len(bits) != q.surface.z2_rank:
         raise InputError("cohomology class length does not match the generators")
-    step = q.step
-    values = tuple((v + step * g) % (2 * step) for v, g in zip(q.values, bits))
-    return type(q)(q.surface, values)
+    return _structures(type(q), q.surface, [_row(q) ^ fl.pack_bits(bits)])[0]
 
 
 def enumerate_enhancements(s: SurfaceModel, kind: str) -> list:
-    """All enhancements of the given kind, in lexicographic value order.
+    """All enhancements of the given kind, in lexicographic value order:
+    item i is the one of correction row i.
 
     There are exactly 2**rank of either kind, except that a surface without
     Pin+ admits no plus enhancements at all (empty list; see
     :func:`pin_plus_obstruction` for the note).
     """
-    from .constraints import ConstraintSystem  # which imports this module
-
-    return ConstraintSystem(kind, s, (), 0).brute_force()
+    if kind not in _KINDS:
+        raise InputError(f"unknown enhancement kind {kind!r}")
+    if not isinstance(s, SurfaceModel):
+        raise InputError(f"surface must be a SurfaceModel, got {type(s).__name__}")
+    if kind == "plus" and pin_plus_obstruction(s) is not None:
+        return []
+    return _structures(_KINDS[kind][0], s, range(1 << s.z2_rank))

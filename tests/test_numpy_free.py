@@ -8,6 +8,7 @@ import system refuses numpy, as one without it installed would.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -37,6 +38,18 @@ COMMANDS = ("decide", "enumerate", "oracle", "surface-info")
 KINDS = ("minus", "plus", "both")
 FORMATS = ("text", "machine")
 EXAMPLES = ("rp4.pinlef", "s2xrp2.pinlef", "s2xtrp2.pinlef")
+# The package's modules, bottom up: each may import only those before it.
+STACK = (
+    "errors",
+    "_record",
+    "finite_linalg",
+    "surfaces",
+    "constraints",
+    "lefschetz",
+    "threefolds",
+    "charclasses",
+    "cli",
+)
 
 
 def _without_numpy(script: str) -> str:
@@ -128,3 +141,51 @@ for name, call in calls.items():
         "z2_intersection True load_numpy",
         "",
     ]
+
+
+def _relative_imports(nodes):
+    """Every ``from . import`` / ``from .x import`` under the nodes, at any
+    depth, except inside ``if TYPE_CHECKING:`` (its ``else`` is read)."""
+    for node in nodes:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _relative_imports(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield node
+        yield from _relative_imports(ast.iter_child_nodes(node))
+
+
+def test_every_import_points_down_the_stack():
+    package = Path(cli.__file__).resolve().parent
+    modules = sorted(p.stem for p in package.glob("*.py"))
+    assert modules == sorted(STACK + ("__init__",))
+    upward = []
+    for i, name in enumerate(STACK):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for node in _relative_imports([tree]):
+            if node.module:
+                targets = [node.module.split(".")[0]]
+            else:
+                targets = [alias.name for alias in node.names]
+            upward += [
+                f"{name}.py:{node.lineno} imports {target}"
+                for target in targets
+                if target not in STACK[:i]
+            ]
+    assert upward == []
+
+
+def test_enhancements_load_nothing_above_surfaces():
+    out = _without_numpy(
+        """
+import sys
+from pinlef import surfaces as sf
+s = sf.non_orientable_surface(3, 1)
+for kind in ("minus", "plus"):
+    everything = sf.enumerate_enhancements(s, kind)
+    sf.act_h1(everything[5], (1, 0, 1))
+sf.base_enhancement_minus(s), sf.base_enhancement_plus(s)
+print(*sorted(m for m in sys.modules if m.startswith("pinlef.")))
+"""
+    )
+    assert out == "pinlef._record pinlef.errors pinlef.finite_linalg pinlef.surfaces\n"

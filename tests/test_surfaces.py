@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import pinlef as P
 from pinlef import finite_linalg as fl
 from pinlef import surfaces as sf
+from pinlef.constraints import ConstraintSystem
 from pinlef.errors import InputError, InvariantViolation
 
 MOEBIUS = P.non_orientable_surface(1, 1)
@@ -416,6 +417,27 @@ def test_pairwise_parity_matches_every_pair(surface):
             for j in range(i + 1, k)
         )
         assert sf.pairwise_parity_mod2(pres, vectors) == pairs % 2
+
+
+@pytest.mark.parametrize("kind", ["minus", "plus"])
+@pytest.mark.parametrize("surface", TABLE_SURFACES, ids=lambda s: s.describe())
+def test_each_enhancement_is_built_from_its_correction_row(surface, kind):
+    everything = P.enumerate_enhancements(surface, kind)
+    assert everything == ConstraintSystem(kind, surface, (), 0).brute_force()
+    if kind == "plus" and not P.pin_plus_exists_surface(surface):
+        assert everything == []
+        return
+    base = {"minus": P.base_enhancement_minus, "plus": P.base_enhancement_plus}
+    assert everything[0] == base[kind](surface)
+    # Base values sit below step, so a value's row bit is value // step.
+    rows = [fl.pack_bits([v // q.step for v in q.values]) for q in everything]
+    r = surface.z2_rank
+    assert rows == list(range(2**r))
+    rng = random.Random("act:" + surface.describe())
+    gammas = [[rng.randrange(2) for _ in range(r)] for _ in range(4)]
+    for q, row in zip(everything, rows):
+        for gamma in gammas:
+            assert P.act_h1(q, gamma) == everything[row ^ fl.pack_bits(gamma)]
 
 
 def test_self_intersection_at_the_rank_cap_is_linear():

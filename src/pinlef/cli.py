@@ -680,7 +680,7 @@ def run(command: str, doc: InputDocument, kind: str = "both", fmt: str = "text")
     if fmt not in _FORMATS:
         raise InputError(f"unknown format {fmt!r}")
     sections, status = _report(command, doc, kind)
-    return "\n".join(_render(sections, fmt)) + "\n", status
+    return "\n".join(chain(_render(sections, fmt), [""])), status
 
 
 # ---------------------------------------------------------------------------

@@ -34,18 +34,28 @@ _KINDS = sf._KINDS
 _PIECE = 1 << 14
 
 
-def _walk(first: int, rows) -> Iterator[int]:
-    """first XOR each combination of rows, in index order: item i picks the
-    rows set in i, the first row being the most significant bit."""
-    yield first
-    # From i - 1 to i the low t + 1 bits flip, t being the number of
-    # trailing zeros of i; steps[t] is the XOR of their rows.
+# Each kind's step as a digit XOR, for bytes.translate on '0'..'3'.
+_FLIP = {1: bytes.maketrans(b"0123", b"1032"), 2: bytes.maketrans(b"0123", b"2301")}
+
+
+def _steps(rows) -> tuple[list[int], Iterator[int]]:
+    """steps[t], the XOR of the last t + 1 rows, and the t of each step of
+    the walk over rows in index order: from i - 1 to i the low t + 1 bits
+    flip, t being the number of trailing zeros of i."""
     steps, acc = [], 0
     for row in reversed(rows):
         acc ^= row
         steps.append(acc)
-    for i in range(1, 1 << len(rows)):
-        first ^= steps[(i & -i).bit_length() - 1]
+    return steps, ((i & -i).bit_length() - 1 for i in range(1, 1 << len(rows)))
+
+
+def _walk(first: int, rows) -> Iterator[int]:
+    """first XOR each combination of rows, in index order: item i picks the
+    rows set in i, the first row being the most significant bit."""
+    steps, order = _steps(rows)
+    yield first
+    for t in order:
+        first ^= steps[t]
         yield first
 
 
@@ -154,23 +164,38 @@ class StructureSet(Record):
         """
         if self.first is None:
             return
-        template = (prefix + ",".join("0" * self.surface.z2_rank) + "\n").encode()
+        r = self.surface.z2_rank
+        template = (prefix + ",".join("0" * r) + "\n").encode()
+        width, d = len(template), len(self.kernel)
+        m = max(0, min(d, (_PIECE // width).bit_length() - 1))
         # A value lands on a digit of a line's last 2r bytes, the rest being
         # commas and the newline; XOR with 0..3 turns a '0' into that digit.
-        first, rows = sf._spread(self._cls, self.surface, self.first, self.kernel, 2)
-        width, d = len(template), len(rows)
-        m = max(0, min(d, (_PIECE // width).bit_length() - 1))
-        # A block of 2**m lines, doubled once per low kernel row, each row
-        # tiled onto every line of the block before it is added.
+        low = self.kernel[d - m :]
+        first, rows = sf._spread(self._cls, self.surface, self.first, low, 2)
+        # The first block of 2**m lines, doubled once per low kernel row,
+        # each row tiled onto every line of the block before it is added.
         block, line = int.from_bytes(template, "big") ^ first, 8 * width
         n = 1
-        for row in reversed(rows[d - m :]):
+        for row in reversed(rows):
             block = (block << line * n) | (block ^ _tile(row, line, n))
             n *= 2
-        # The walk over the other rows XORs each onto every line at once.
-        high = [_tile(row, line, n) for row in rows[: d - m]]
-        for b in _walk(block, high):
-            yield b.to_bytes(width * n, "big").decode()[:-1]
+        piece = block.to_bytes(width * n, "big").decode()[:-1]
+        yield piece
+        if m == d:
+            return
+        # A step of the walk over the other kernel rows adds steps[t] to
+        # every line, so each later block is the one before with the digit
+        # columns of steps[t]'s generators flipped by the kind's step;
+        # generator j's digit is at byte p + 2j of a line, p being the
+        # prefix's length in bytes.
+        steps, order = _steps(self.kernel[: d - m])
+        p, flip = len(template) - 2 * r, _FLIP[self._cls.step]
+        cols = [[p + 2 * j for j in fl.set_columns(x, r)] for x in steps]
+        buf = bytearray(piece, "utf-8")
+        for t in order:
+            for o in cols[t]:
+                buf[o::width] = buf[o::width].translate(flip)
+            yield buf.decode()
 
 
 class DecisionReport(Record):

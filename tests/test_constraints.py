@@ -307,7 +307,8 @@ def test_rank_4096_kernel_is_in_rref(rref_calls, decide, target):
 
 def _listed_sets():
     """Structure sets of both kinds: every small seeded system, an empty
-    set, dim 0, z2 rank 0, and rank 14 with dims 8, 9 and 12 to 14."""
+    set, dim 0, z2 rank 0, rank 14 with dims 8, 9 and 12 to 14, and rank
+    40 with dim 10 and dense kernel rows."""
     sets = [report.structures for report, _, _ in _small_systems(5)]
     sets.append(lf.decide_pin_minus(_fibration(MOEBIUS, (2,))).structures)
     sets.append(lf.decide_pin_minus(_fibration(TORUS, (1, 0), (0, 1))).structures)
@@ -320,6 +321,10 @@ def _listed_sets():
     ]:
         f = _fibration(surface, *rows)
         sets += [lf.decide_pin_minus(f).structures, lf.decide_pin_plus(f).structures]
+    rng = random.Random(0)
+    dense = [[rng.randrange(4) for _ in range(40)] for _ in range(30)]
+    f = _fibration(P.orientable_surface(20, 1), *dense)
+    sets += [lf.decide_pin_minus(f).structures, lf.decide_pin_plus(f).structures]
     return sets
 
 
@@ -331,7 +336,7 @@ def test_structure_set_lines_match_a_naive_rendering():
     for s in sets:
         # A prefix past 16 KiB makes every piece a single line.
         long = ["#" * (1 << 14)] if s.count <= 16 else []
-        for p in ["", "  ", "structure = ", *long]:
+        for p in ["", "  ", "structure = ", "0123,", *long]:
             pieces = list(s.lines(p))
             naive = (p + ",".join(str(b) for b in v) for v in s.values())
             assert "\n".join(pieces) == "\n".join(naive)

@@ -389,9 +389,10 @@ def _mode(doc: InputDocument) -> str:
 def _subject(doc: InputDocument):
     """The fibration or threefold the deciders read, made once per command:
     a fibration is built and checked from the cycles, and the threefold
-    checked at parse is copied over a fresh list of its classes.  Its
-    elimination, which both kinds share, lives as long as it does, so no
-    command reads one left by another on the document."""
+    checked at parse is copied over a fresh list of its classes.  What
+    both kinds share, its elimination, base values and scan table, lives
+    as long as it does, so no command reads any left by another on the
+    document."""
     if doc.threefold is None:
         return lf.LefschetzFibration(doc.surface, doc.cycles or ())
     if doc.cycles is not None or doc.embedded_surfaces:

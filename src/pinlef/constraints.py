@@ -4,10 +4,18 @@ Each question asks for an enhancement q = q0 + correction of a surface
 taking one value on every listed class; a correction bit moves a value by
 the kind's ``step`` (2 for minus, 1 for plus).  Row i of C is the mod-2
 reduction of class i and A_i is (target - q0(c_i)) / step mod 2.  Both
-kinds' systems on one fibration or threefold share C, and one
+kinds' systems on one fibration or threefold share their classes, and
+with them all the work that does not depend on the kind.  One
 elimination of [C' | I] (C' being C with its columns reversed) serves
 them both: each reads its A off that echelon, giving rank(C) and either
-every solution or a row combination y with y.C = 0 and y.A = 1.
+every solution or a row combination y with y.C = 0 and y.A = 1.  One
+pass over the classes gives both kinds' q0 as bit planes, and each kind
+reads its A off them with a few whole-int operations.
+
+The brute-force oracle eliminates nothing: it covers all 2**r candidate
+corrections by a meet-in-the-middle join of their high and low halves
+through one table that both kinds share, in O(2**(r/2) + hits) steps
+(:meth:`ConstraintSystem.hit_rows`).
 """
 
 from __future__ import annotations
@@ -36,6 +44,10 @@ _PIECE = 1 << 14
 
 # Each kind's step as a digit XOR, for bytes.translate on '0'..'3'.
 _FLIP = {1: bytes.maketrans(b"0123", b"1032"), 2: bytes.maketrans(b"0123", b"2301")}
+
+
+# Bytes to the ASCII digit of their bit 2.
+_BIT_2_DIGITS = bytes.maketrans(bytes(range(256)), b"00001111" * 32)
 
 
 def _steps(rows) -> tuple[list[int], Iterator[int]]:
@@ -96,10 +108,21 @@ class StructureSet(Record):
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "kernel", kernel)
+        # The spread of first and of the kernel rows, once read.  Set here,
+        # so every instance dict has the same keys.
+        object.__setattr__(self, "_spread_rows", None)
 
     @property
     def _cls(self) -> type:
         return _KINDS[self.kind][0]
+
+    def _spread(self) -> tuple[int, list[int]]:
+        """:func:`sf._spread` of first and the kernel rows, made once per set."""
+        spread = self._spread_rows
+        if spread is None:
+            spread = sf._spread(self._cls, self.surface, self.first, self.kernel)
+            object.__setattr__(self, "_spread_rows", spread)
+        return spread
 
     @property
     def count(self) -> int:
@@ -123,11 +146,11 @@ class StructureSet(Record):
             i += n
         if not 0 <= i < n:
             raise IndexError("structure index out of range")
-        x = self.first
-        for j, row in enumerate(reversed(self.kernel)):
+        x, rows = self._spread()
+        for j, row in enumerate(reversed(rows)):
             if i >> j & 1:
                 x ^= row
-        return sf._structures(self._cls, self.surface, [x])[0]
+        return self._cls(self.surface, tuple(x.to_bytes(self.surface.z2_rank, "big")))
 
     def __contains__(self, q) -> bool:
         if (
@@ -150,9 +173,8 @@ class StructureSet(Record):
         generator, in iteration order, without building the enhancements."""
         if self.first is None:
             return iter(())
-        first, rows = sf._spread(self._cls, self.surface, self.first, self.kernel)
         r = self.surface.z2_rank
-        return (v.to_bytes(r, "big") for v in _walk(first, rows))
+        return (v.to_bytes(r, "big") for v in _walk(*self._spread()))
 
     def lines(self, prefix: str) -> Iterator[str]:
         """Each structure as a text line, ``prefix`` then its values joined
@@ -240,12 +262,15 @@ def rank_mismatch(reason: str) -> Callable[[int, list[int]], tuple]:
 
 class CheckedClasses(tuple):
     """Classes with ``ncols`` coordinates each, checked by :func:`check_classes`
-    (this constructor checks nothing).  Both kinds' systems on them read one
-    :attr:`echelon` of their :attr:`rows`, eliminated when first asked for."""
+    (this constructor checks nothing).  Both kinds' systems on them read
+    what does not depend on the kind from here, each part made when first
+    asked for and kept: one :attr:`echelon` of their :attr:`rows`, the base
+    values of :meth:`base_values` and the oracle's :attr:`scan` table."""
 
     def __new__(cls, classes, ncols: int):
         self = super().__new__(cls, classes)
         self.ncols = ncols
+        self._base = None  # (the presentation's masks, base values), once read
         return self
 
     def __getnewargs__(self):
@@ -259,6 +284,55 @@ class CheckedClasses(tuple):
     @cached_property
     def echelon(self) -> fl.Echelon:
         return fl.echelon_bits(self.rows)
+
+    def base_values(self, pres: sf.HomologyPresentation) -> tuple[int, int, int]:
+        """:func:`_base_values` on the classes, kept for the last surface."""
+        key, base = (pres.one_sided, pres.handle_first), self._base
+        if base is None or base[0] != key:
+            base = self._base = key, _base_values(self, *key)
+        return base[1]
+
+    @cached_property
+    def scan(self) -> tuple[int, list[int], dict[int, list[int]]]:
+        """The oracle's table: see :func:`_scan_table`."""
+        return _scan_table(self)
+
+
+def _base_values(classes, one: int, pairs: int) -> tuple[int, int, int]:
+    """q0 of both kinds on each class, from one pass, as planes packed with
+    class 0 most significant.  Minus q0(c) is c's one-sided count plus
+    twice its handle pairs, mod 4: its parity and high planes come first.
+    Plus q0(c) is the parity of c's one-sided high bits plus its handle
+    pairs: its plane comes last.  Each class gives a byte of minus q0 in
+    bits 0 and 1 and plus q0 in bit 2."""
+    values = bytes([
+        (
+            (c._bits & one).bit_count()
+            + 2 * (n := (c._bits & c._bits << 1 & pairs).bit_count())
+            & 3
+        )
+        | ((c._high & one).bit_count() + n & 1) << 2
+        for c in classes
+    ])
+    return (*fl.planes(values), int(values.translate(_BIT_2_DIGITS) or b"0", 2))
+
+
+def _scan_table(classes: CheckedClasses) -> tuple[int, list[int], dict[int, list[int]]]:
+    """k = ncols // 2, the tests of each high part and the low parts of
+    each low test, for the 2**ncols candidates t = h << k | l.
+
+    Column p holds the classes with bit p set, class i at bit
+    n - 1 - i of n, so t's tests are the XOR of the columns its bits
+    pick; the low and high parts pick theirs apart.  A low test maps to
+    every low part having it, in index order."""
+    r = classes.ncols
+    k = r // 2
+    digits = "".join([format(c._bits, f"0{r}b") for c in classes])
+    columns = [int(digits[r - 1 - p :: r] or "0", 2) for p in range(r)]
+    parts: dict[int, list[int]] = {}
+    for low, x in enumerate(_tests(columns[:k])):
+        parts.setdefault(x, []).append(low)
+    return k, _tests(columns[k:]), parts
 
 
 def check_classes(
@@ -360,17 +434,20 @@ class ConstraintSystem(Record):
 
     def hit_rows(self) -> list[int]:
         """The bit row of every enhancement meeting the targets, in index
-        order, found by testing each of the 2**rank candidates.
+        order, found among all 2**rank candidates without elimination.
 
         Candidate t stands for q0 acted on by the bits of t, which moves
         q0's value on a class c by step * popcount(c & t).  Each class is
         thus a parity test on t, and t is a hit when its tests, bit i for
-        class i, equal ``want``.  Column p holds the classes with bit p
-        set, so t's tests are the XOR of the columns its bits pick.  With
-        t = h << k | l and k = rank // 2, one list holds the tests of
-        every low part l; for each high part, ``list.index`` walks that
-        list at C speed for the low parts completing it to ``want``.
-        Every candidate is compared once, and nothing is eliminated.
+        class i, equal ``want``.  With t = h << k | l and k = rank // 2,
+        t's tests are the XOR of the tests of its high part h and of its
+        low part l, so the hits with high part h are the low parts whose
+        tests equal ``want`` XOR h's: one dict lookup in the classes'
+        :attr:`~CheckedClasses.scan` table, which both kinds share.  That
+        is a hash join of the two halves (Horowitz and Sahni, *J. ACM*
+        21(2), 1974): 2**(rank - k) lookups and one step per hit, after
+        2**k steps to build the table, where matching each high part
+        against every low part would take 2**rank comparisons.
         """
         s = self.surface
         if self.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
@@ -378,40 +455,30 @@ class ConstraintSystem(Record):
         want, missed = self._targets()
         if missed:  # no candidate meets that class
             return []
-        r, n = s.z2_rank, len(self.classes)
-        columns = [0] * r
-        for i, c in enumerate(self.classes, start=1):
-            for p in range(r):
-                columns[p] |= (c._bits >> p & 1) << (n - i)
-        k, hits = r // 2, []
-        low = _tests(columns[:k])
-        for h, top in enumerate(_tests(columns[k:])):
-            x, i = want ^ top, -1
-            for _ in range(low.count(x)):
-                i = low.index(x, i + 1)
-                hits.append(h << k | i)
-        return hits
+        k, high, parts = self._checked.scan
+        return [
+            h << k | low
+            for h, top in enumerate(high)
+            for low in parts.get(want ^ top, ())
+        ]
 
     def _targets(self) -> tuple[int, int]:
         """A, and the classes on which no enhancement of the kind takes the
         target, each packed with class 0 most significant.
 
         A class c asks for a correction moving q0(c) by target - q0(c), a
-        multiple of step unless no correction meets c.  For minus, q0(c)
-        is c's one-sided count plus twice its handle pairs; for plus it is
-        the parity of c's one-sided high bits plus its handle pairs, and
-        the gap is doubled.  Either way the gap mod 4 has A's bit as its
-        high bit and a miss as its parity."""
+        multiple of step unless no correction meets c.  Plus steps by 1,
+        so every gap is one and A is target - q0 mod 2.  For minus a class
+        is missed where target and q0 differ in parity; elsewhere the gap
+        mod 4 has no borrow, and A's bit is the XOR of their high bits.
+        Both kinds read q0 off the planes of
+        :meth:`CheckedClasses.base_values`."""
         pres = sf.homology_presentation(self.surface)
-        one, pairs, t = pres.one_sided, pres.handle_first, self.target
-        plus = self.kind == "plus"
-        gaps = bytes([
-            (1 + plus) * (t - ((c._high if plus else c._bits) & one).bit_count())
-            - 2 * (c._bits & c._bits << 1 & pairs).bit_count() & 3
-            for c in self.classes
-        ])
-        missed, want = fl.planes(gaps)
-        return want, missed
+        low, high, plus = self._checked.base_values(pres)
+        every, t = (1 << len(self.classes)) - 1, self.target
+        if self.kind == "plus":
+            return plus ^ every * t, 0
+        return high ^ every * (t >> 1), low ^ every * (t & 1)
 
     def brute_force(self) -> list:
         """Every enhancement meeting the targets, built from

@@ -212,35 +212,39 @@ def rref_gf2(m) -> tuple[int, BitRows | MatGF2, list[int]]:
 
 
 def _rref_bits(m: BitRows) -> tuple[int, BitRows, list[int]]:
-    basis = _insert(m.rows)
-    leads = _back_substitute(basis)
+    basis, leads = _insert(m.rows, m.ncols)
+    _back_substitute(basis, leads)
     leads.reverse()
     rows = tuple([basis[lead] for lead in leads]) + (0,) * (len(m.rows) - len(leads))
     return len(leads), BitRows(rows, m.ncols), [m.ncols - lead for lead in leads]
 
 
-def _insert(rows) -> dict[int, int]:
-    """Echelon form of the rows, keyed by leading bit: a row takes a basis
-    row's XOR only while their bit_length()s agree."""
-    basis: dict[int, int] = {}
+def _insert(rows, width: int) -> tuple[list[int], list[int]]:
+    """Echelon form of rows at most ``width`` bits wide, as a list indexed
+    by leading bit (bit_length()), 0 where no row leads, and its leads,
+    ascending: a row takes a basis row's XOR only while their
+    bit_length()s agree."""
+    basis, leads = [0] * (width + 1), []
     for row in rows:
         while row:
             lead = row.bit_length()
-            pivot = basis.get(lead)
-            if pivot is None:
+            pivot = basis[lead]
+            if not pivot:
                 basis[lead] = row
+                leads.append(lead)
                 break
             row ^= pivot
-    return basis
+    leads.sort()
+    return basis, leads
 
 
-def _back_substitute(basis: dict[int, int]) -> list[int]:
-    """Reduce an echelon keyed by leading bit in place; its leads, ascending.
+def _back_substitute(basis: list[int], leads: list[int]) -> None:
+    """Reduce an echelon indexed by leading bit, with these leads
+    ascending, in place.
 
     Rightmost pivot first: every row done so far is zero at the other
     pivot columns, so the pivot bits a row still holds name exactly the
     rows to add to it."""
-    leads = sorted(basis)
     done = 0
     for lead in leads:
         row = basis[lead]
@@ -251,7 +255,6 @@ def _back_substitute(basis: dict[int, int]) -> list[int]:
             hits ^= 1 << (h - 1)
         basis[lead] = row
         done |= 1 << (lead - 1)
-    return leads
 
 
 class Echelon(Record):
@@ -352,15 +355,17 @@ class Echelon(Record):
         ])
 
     def _reduced_kernel(self) -> tuple[int, ...]:
-        # The pivot rows' C' parts, keyed by leading bit: C's column f is
+        # The pivot rows' C' parts, indexed by leading bit: C's column f is
         # bit f, and a solution's bit ncols - 1 - f.
         nrows, ncols = self.shape
-        pivot_rows = self.rows[: self.rank]
-        basis = {row.bit_length() - nrows: row >> nrows for row in pivot_rows}
-        _back_substitute(basis)
-        vectors = {f: 1 << (ncols - 1 - f) for f in range(ncols) if f + 1 not in basis}
-        for lead, row in basis.items():
-            rest = row ^ 1 << (lead - 1)
+        basis = [0] * (ncols + 1)
+        leads = [ncols - p for p in reversed(self.pivot_cols)]
+        for lead, row in zip(leads, reversed(self.rows[: self.rank])):
+            basis[lead] = row >> nrows
+        _back_substitute(basis, leads)
+        vectors = {f: 1 << (ncols - 1 - f) for f in range(ncols) if not basis[f + 1]}
+        for lead in leads:
+            rest = basis[lead] ^ 1 << (lead - 1)
             while rest:
                 f = rest.bit_length() - 1
                 vectors[f] |= 1 << (ncols - lead)
@@ -371,18 +376,23 @@ class Echelon(Record):
 def echelon_bits(C: BitRows) -> Echelon:
     """One insertion pass over [C' | I], the :class:`Echelon` of C."""
     nrows, ncols = C.shape
-    # C' holds C's column j at bit j: each row's bits in reverse order.
+    # Row i of [C' | I] is C's row i with its bits in reverse order, above
+    # I's bit nrows - 1 - i.
     nbytes, pad = -(-ncols // 8), -ncols % 8
-    flipped = [
-        int.from_bytes(row.to_bytes(nbytes, "little").translate(_REVERSED), "big")
-        >> pad
-        for row in C.rows
-    ]
-    basis = _insert([x << nrows | 1 << (nrows - 1 - i) for i, x in enumerate(flipped)])
-    leads = sorted(basis)
+    width = ncols + nrows
+    basis, leads = _insert(
+        [
+            int.from_bytes(row.to_bytes(nbytes, "little").translate(_REVERSED), "big")
+            >> pad
+            << nrows
+            | 1 << (nrows - 1 - i)
+            for i, row in enumerate(C.rows)
+        ],
+        width,
+    )
     rank = len(leads) - bisect_right(leads, nrows)
     leads.reverse()
-    pivot_cols = tuple([ncols + nrows - lead for lead in leads[:rank]])
+    pivot_cols = tuple([width - lead for lead in leads[:rank]])
     return Echelon(C.shape, rank, tuple([basis[lead] for lead in leads]), pivot_cols)
 
 

@@ -514,7 +514,7 @@ def _plus_value(low: int, x: HomologyClass, pres: HomologyPresentation) -> int:
 # plane of values a correction moves (minus: high, plus: parity); plane 0
 # is the base q0.  Only the tests' one-candidate-at-a-time scan
 # (tests/helpers.py) reads the evaluators: a system reads q0 on all its
-# classes at once (constraints.ConstraintSystem._targets).
+# classes at once, both kinds in one pass (constraints._base_values).
 _KINDS = {
     "minus": (EnhancementMinus, _minus_value),
     "plus": (EnhancementPlus, _plus_value),

@@ -74,7 +74,8 @@ class HandlebodyDecomposition3(Record):
 
     def _unshared(self) -> HandlebodyDecomposition3:
         """This decomposition, checked no further, over a fresh list of its
-        checked classes: it reads no elimination made for this one."""
+        checked classes: it reads nothing its classes keep for this one,
+        no elimination, base values or scan table."""
         d = object.__new__(HandlebodyDecomposition3)
         for name, value in vars(self).items():
             object.__setattr__(d, name, value)

@@ -567,6 +567,34 @@ def test_each_command_eliminates_the_classes_once(rref_calls, text, command, kin
         assert len(rref_calls) == n
 
 
+@pytest.mark.parametrize("kind", ["both", "minus", "plus"])
+@pytest.mark.parametrize("command", ["decide", "enumerate", "oracle"])
+@pytest.mark.parametrize(
+    "text",
+    [RP4_TEXT, THREEFOLD_TEXT, _ODD_CLOSED_TEXT, _GENUS_2_TEXT],
+    ids=["rp4", "threefold", "odd-closed", "genus-2"],
+)
+def test_kinds_share_one_q0_pass_and_one_scan_table(monkeypatch, text, command, kind):
+    # Both kinds read q0 off one pass over the subject's classes, and both
+    # oracle scans one table.  A plus system on a surface without Pin+ is
+    # refused before it reads either.  A second command on the document
+    # makes its own.
+    calls = {"_base_values": 0, "_scan_table": 0}
+    for name, original in [(name, getattr(cs, name)) for name in calls]:
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cs, name, counted)
+    once = 0 if text == _ODD_CLOSED_TEXT and kind == "plus" else 1
+    doc = cli.parse(text)
+    for n in (1, 2):
+        cli.run(command, doc, kind)
+        scans = n * once if command == "oracle" else 0
+        assert calls == {"_base_values": n * once, "_scan_table": scans}
+
+
 @pytest.mark.parametrize("command", ["decide", "enumerate", "oracle"])
 @pytest.mark.parametrize("text", [RP4_TEXT, SPHERE_TEXT], ids=["rp4", "sphere"])
 def test_commands_validate_the_fibration_once(monkeypatch, command, text):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -186,11 +187,20 @@ def _small_systems(seed):
 
 
 @pytest.mark.parametrize("seed", [3, 17])
-def test_structure_set_order_indexing_and_membership(seed):
+def test_structure_set_order_indexing_and_membership(monkeypatch, seed):
     systems = _small_systems(seed)
     assert {r.exists for r, _, _ in systems} == {True, False}
+    spreads = []
+    original = sf._spread
+
+    def counted(*args):
+        spreads.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(sf, "_spread", counted)
     for report, brute, surface in systems:
         s = report.structures
+        spreads.clear()
         listed = list(s)
         values = [q.values for q in listed]
         assert values == sorted(values) == [tuple(v) for v in s.values()]
@@ -198,6 +208,8 @@ def test_structure_set_order_indexing_and_membership(seed):
         assert bool(s) is report.exists
         for i in range(-len(listed), len(listed)):
             assert s[i] == listed[i]
+        # Iteration and every index read one spread of the base.
+        assert len(spreads) == bool(s)
         accepted = set(brute)
         assert set(listed) == accepted
         for q in sf.enumerate_enhancements(surface, report.kind):
@@ -699,3 +711,46 @@ def test_minus_systems_read_z2_classes():
     system = ConstraintSystem("minus", TORUS_1, (P.z2_class([1, 1]),), 2)
     report = system.decide(_unsolvable)
     assert list(report.structures) == system.brute_force() != []
+
+
+def test_checked_classes_give_each_surface_its_own_base_values():
+    # Checked classes hold no surface, and systems on two surfaces of one
+    # rank may share them: each surface reads its own q0 off the classes.
+    checked = P.LefschetzFibration(TORUS_1, (P.z4_class([1, 0]),))._checked
+    for kind, target in (("minus", 0), ("minus", 1), ("plus", 0)):
+        for surface in (TORUS_1, KLEIN, TORUS_1):
+            shared = ConstraintSystem(kind, surface, checked, target)
+            fresh = ConstraintSystem(kind, surface, tuple(checked), target)
+            assert shared.hit_rows() == fresh.hit_rows() == candidate_hit_rows(fresh)
+    assert ConstraintSystem("minus", KLEIN, checked, 0).hit_rows() == []
+    assert ConstraintSystem("minus", TORUS_1, checked, 0).hit_rows() == [0, 1]
+
+
+def test_threads_sharing_checked_classes_read_their_own_surface():
+    # Threads read q0 off one list of checked classes for two surfaces at
+    # once; each must get its own surface's values, never the other's.
+    checked = P.LefschetzFibration(TORUS_1, (P.z4_class([1, 0]),))._checked
+    expected = {
+        s: ConstraintSystem("minus", s, tuple(checked), 0).hit_rows()
+        for s in (TORUS_1, KLEIN)
+    }
+    assert expected[TORUS_1] != expected[KLEIN]
+
+    def wrong(surfaces):
+        return [
+            (s, found)
+            for _ in range(2000)
+            for s in surfaces
+            if (found := ConstraintSystem("minus", s, checked, 0).hit_rows())
+            != expected[s]
+        ]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            orders = [(TORUS_1, KLEIN), (KLEIN, TORUS_1)] * 2
+            futures = [pool.submit(wrong, order) for order in orders]
+            assert [f.result(timeout=60) for f in futures] == [[]] * 4
+    finally:
+        sys.setswitchinterval(old)

@@ -34,10 +34,6 @@ if TYPE_CHECKING:
     from .lefschetz import ObstructionWitness
 
 
-# The kind table; the tests' candidate scan (tests/helpers.py) reads it here.
-_KINDS = sf._KINDS
-
-
 # The most bytes in one piece of StructureSet.lines, unless one line is longer.
 _PIECE = 1 << 14
 
@@ -114,7 +110,7 @@ class StructureSet(Record):
 
     @property
     def _cls(self) -> type:
-        return _KINDS[self.kind][0]
+        return sf._KINDS[self.kind]
 
     def _spread(self) -> tuple[int, list[int]]:
         """:func:`sf._spread` of first and the kernel rows, made once per set."""
@@ -261,36 +257,35 @@ def rank_mismatch(reason: str) -> Callable[[int, list[int]], tuple]:
 
 
 class CheckedClasses(tuple):
-    """Classes with ``ncols`` coordinates each, checked by :func:`check_classes`
-    (this constructor checks nothing).  Both kinds' systems on them read
+    """Classes checked by :func:`check_classes` against ``surface`` (this
+    constructor checks nothing).  Both kinds' systems on that surface read
     what does not depend on the kind from here, each part made when first
-    asked for and kept: one :attr:`echelon` of their :attr:`rows`, the base
-    values of :meth:`base_values` and the oracle's :attr:`scan` table."""
+    asked for and kept: one :attr:`echelon` of their :attr:`rows`, the
+    :attr:`base_values` and the oracle's :attr:`scan` table.  A copy or a
+    pickle carries the classes and the surface only."""
 
-    def __new__(cls, classes, ncols: int):
+    def __new__(cls, classes, surface: sf.SurfaceModel):
         self = super().__new__(cls, classes)
-        self.ncols = ncols
-        self._base = None  # (the presentation's masks, base values), once read
+        self.surface = surface
         return self
 
-    def __getnewargs__(self):
-        return tuple(self), self.ncols
+    def __reduce__(self):
+        return CheckedClasses, (tuple(self), self.surface)
 
     @property
     def rows(self) -> fl.BitRows:
         """Mod-2 reductions of the classes, one packed row per class."""
-        return fl.BitRows(tuple([c._bits for c in self]), self.ncols)
+        return fl.BitRows(tuple([c._bits for c in self]), self.surface.z2_rank)
 
     @cached_property
     def echelon(self) -> fl.Echelon:
         return fl.echelon_bits(self.rows)
 
-    def base_values(self, pres: sf.HomologyPresentation) -> tuple[int, int, int]:
-        """:func:`_base_values` on the classes, kept for the last surface."""
-        key, base = (pres.one_sided, pres.handle_first), self._base
-        if base is None or base[0] != key:
-            base = self._base = key, _base_values(self, *key)
-        return base[1]
+    @cached_property
+    def base_values(self) -> tuple[int, int, int]:
+        """:func:`_base_values` on the classes, for their surface."""
+        pres = sf.homology_presentation(self.surface)
+        return _base_values(self, pres.one_sided, pres.handle_first)
 
     @cached_property
     def scan(self) -> tuple[int, list[int], dict[int, list[int]]]:
@@ -318,14 +313,15 @@ def _base_values(classes, one: int, pairs: int) -> tuple[int, int, int]:
 
 
 def _scan_table(classes: CheckedClasses) -> tuple[int, list[int], dict[int, list[int]]]:
-    """k = ncols // 2, the tests of each high part and the low parts of
-    each low test, for the 2**ncols candidates t = h << k | l.
+    """k = r // 2, the tests of each high part and the low parts of each
+    low test, for the 2**r candidates t = h << k | l, r being the z2 rank
+    of the classes' surface.
 
     Column p holds the classes with bit p set, class i at bit
     n - 1 - i of n, so t's tests are the XOR of the columns its bits
     pick; the low and high parts pick theirs apart.  A low test maps to
     every low part having it, in index order."""
-    r = classes.ncols
+    r = classes.surface.z2_rank
     k = r // 2
     digits = "".join([format(c._bits, f"0{r}b") for c in classes])
     columns = [int(digits[r - 1 - p :: r] or "0", 2) for p in range(r)]
@@ -336,13 +332,15 @@ def _scan_table(classes: CheckedClasses) -> tuple[int, list[int], dict[int, list
 
 
 def check_classes(
-    classes, pres: sf.HomologyPresentation, rings=("Z4",), name="class", why=None
+    classes, surface: sf.SurfaceModel, rings=("Z4",), name="class", why=None
 ) -> CheckedClasses:
-    """The classes, each refused at its first fault: not a class of
-    ``rings``, a coordinate count other than pres.z2_rank, or, given
-    ``why``, odd self-intersection (``why`` formatted with name and text)."""
+    """The classes, bound to ``surface``, each refused at its first fault:
+    not a class of ``rings``, a coordinate count other than the surface's
+    z2 rank, or, given ``why``, odd self-intersection (``why`` formatted
+    with name and text)."""
+    pres = sf.homology_presentation(surface)
     r = pres.z2_rank
-    checked = CheckedClasses(classes, r)
+    checked = CheckedClasses(classes, surface)
     for n, c in enumerate(checked, start=1):
         if not isinstance(c, sf.HomologyClass) or c.ring not in rings:
             raise InputError(f"{name} {n} must be a {' or '.join(rings)} class")
@@ -361,9 +359,10 @@ class ConstraintSystem(Record):
     the value ``target``, a residue mod 2 * step, on each of the Z4
     ``classes``, in row order.  Plain classes go through
     :func:`check_classes` when the system is made (minus also reads Z2
-    ones).  Of :class:`CheckedClasses`, checked once already, only the
-    coordinate count is compared with the surface, and every system on
-    them reads their one echelon."""
+    ones), and so do :class:`CheckedClasses` checked for another surface,
+    even one of the same rank.  Classes checked for this surface are
+    checked no further, and every system on them reads their one
+    echelon."""
 
     def __init__(
         self,
@@ -372,18 +371,18 @@ class ConstraintSystem(Record):
         classes: tuple[sf.HomologyClass, ...],
         target: int,
     ) -> None:
-        if kind not in _KINDS:
+        if kind not in sf._KINDS:
             raise InputError(f"unknown enhancement kind {kind!r}")
         target = sf.as_integer(target, "target")
-        if not 0 <= target < 2 * _KINDS[kind][0].step:
+        if not 0 <= target < 2 * sf._KINDS[kind].step:
             raise InputError(f"target {target} is not a {kind} enhancement value")
         if not isinstance(surface, sf.SurfaceModel):
             raise InputError(
                 f"surface must be a SurfaceModel, got {type(surface).__name__}"
             )
-        if classes.__class__ is not CheckedClasses or classes.ncols != surface.z2_rank:
+        if classes.__class__ is not CheckedClasses or classes.surface != surface:
             rings = ("Z2", "Z4") if kind == "minus" else ("Z4",)
-            classes = check_classes(classes, sf.homology_presentation(surface), rings)
+            classes = check_classes(classes, surface, rings)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "classes", tuple(classes))
@@ -471,10 +470,9 @@ class ConstraintSystem(Record):
         so every gap is one and A is target - q0 mod 2.  For minus a class
         is missed where target and q0 differ in parity; elsewhere the gap
         mod 4 has no borrow, and A's bit is the XOR of their high bits.
-        Both kinds read q0 off the planes of
-        :meth:`CheckedClasses.base_values`."""
-        pres = sf.homology_presentation(self.surface)
-        low, high, plus = self._checked.base_values(pres)
+        Both kinds read q0 off the planes of their classes'
+        :attr:`~CheckedClasses.base_values`, made for this surface."""
+        low, high, plus = self._checked.base_values
         every, t = (1 << len(self.classes)) - 1, self.target
         if self.kind == "plus":
             return plus ^ every * t, 0
@@ -483,7 +481,7 @@ class ConstraintSystem(Record):
     def brute_force(self) -> list:
         """Every enhancement meeting the targets, built from
         :meth:`hit_rows`' scan of all 2**rank candidates."""
-        return sf._structures(_KINDS[self.kind][0], self.surface, self.hit_rows())
+        return sf._structures(sf._KINDS[self.kind], self.surface, self.hit_rows())
 
 
 def _tests(columns: list[int]) -> list[int]:

@@ -441,8 +441,7 @@ def annihilator_gf2(rows: MatGF2) -> list[VecGF2]:
     mod-2 dot pairing; its size is cols - rank(rows).
     """
     C = BitRows.from_array(rows)
-    _, _, kernel, _ = eliminate_bits(C, (0,) * len(C.rows))
-    return [_vector(k, C.ncols) for k in kernel]
+    return [_vector(k, C.ncols) for k in echelon_bits(C).kernel]
 
 
 class AffineSolutionGF2(Record):

@@ -48,9 +48,8 @@ class LefschetzFibration(Record):
             raise InputError(
                 f"fiber must be a SurfaceModel, got {type(self.fiber).__name__}"
             )
-        pres = sf.homology_presentation(self.fiber)
         why = "{} ({}) has odd self-intersection; vanishing cycles are two-sided"
-        checked = check_classes(self.cycles, pres, name="cycle", why=why)
+        checked = check_classes(self.cycles, self.fiber, name="cycle", why=why)
         object.__setattr__(self, "_checked", checked)
 
     def _system(self, kind: str) -> ConstraintSystem:
@@ -105,8 +104,7 @@ def fibration_h1_annihilator(f: LefschetzFibration) -> list[fl.VecGF2]:
     fiber's; acting by it permutes the solutions of either decision system
     freely and transitively.
     """
-    checked = f._checked
-    return [fl._vector(k, checked.ncols) for k in checked.echelon.kernel]
+    return [fl._vector(k, f.fiber.z2_rank) for k in f._checked.echelon.kernel]
 
 
 def _witness_from_combination(f: LefschetzFibration, support) -> ObstructionWitness:

@@ -509,16 +509,8 @@ def _plus_value(low: int, x: HomologyClass, pres: HomologyPresentation) -> int:
     return terms.bit_count() & 1
 
 
-# Each kind's enhancement class and value on a Z4 class c, evaluate(plane,
-# c, presentation), read off c's planes (minus: its mod-2 one) and the one
-# plane of values a correction moves (minus: high, plus: parity); plane 0
-# is the base q0.  Only the tests' one-candidate-at-a-time scan
-# (tests/helpers.py) reads the evaluators: a system reads q0 on all its
-# classes at once, both kinds in one pass (constraints._base_values).
-_KINDS = {
-    "minus": (EnhancementMinus, _minus_value),
-    "plus": (EnhancementPlus, _plus_value),
-}
+# Each kind's enhancement class.
+_KINDS = {"minus": EnhancementMinus, "plus": EnhancementPlus}
 
 
 def _row(q: EnhancementMinus | EnhancementPlus) -> int:
@@ -580,4 +572,4 @@ def enumerate_enhancements(s: SurfaceModel, kind: str) -> list:
         raise InputError(f"surface must be a SurfaceModel, got {type(s).__name__}")
     if kind == "plus" and pin_plus_obstruction(s) is not None:
         return []
-    return _structures(_KINDS[kind][0], s, range(1 << s.z2_rank))
+    return _structures(_KINDS[kind], s, range(1 << s.z2_rank))

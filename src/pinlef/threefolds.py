@@ -62,11 +62,11 @@ class HandlebodyDecomposition3(Record):
             raise InputError(
                 f"expected {self.genus} belt classes, got {len(self.belt_classes)}"
             )
-        pres = sf.homology_presentation(self.boundary)
+        s = self.boundary
         why = "{} has odd self-intersection; curves bounding disks are two-sided"
-        a = check_classes(self.attaching_classes, pres, name="attaching class", why=why)
-        b = check_classes(self.belt_classes, pres, name="belt class", why=why)
-        object.__setattr__(self, "_checked", CheckedClasses(a + b, pres.z2_rank))
+        a = check_classes(self.attaching_classes, s, name="attaching class", why=why)
+        b = check_classes(self.belt_classes, s, name="belt class", why=why)
+        object.__setattr__(self, "_checked", CheckedClasses(a + b, s))
 
     @cached_property
     def boundary(self) -> sf.SurfaceModel:
@@ -79,8 +79,7 @@ class HandlebodyDecomposition3(Record):
         d = object.__new__(HandlebodyDecomposition3)
         for name, value in vars(self).items():
             object.__setattr__(d, name, value)
-        checked = CheckedClasses(self._checked, self._checked.ncols)
-        object.__setattr__(d, "_checked", checked)
+        object.__setattr__(d, "_checked", CheckedClasses(self._checked, self.boundary))
         return d
 
     def listed_classes(self) -> tuple[sf.HomologyClass, ...]:

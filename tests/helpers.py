@@ -5,7 +5,6 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, product
 
 import pinlef as P
-from pinlef import constraints as cs
 from pinlef import finite_linalg as fl
 from pinlef import surfaces as sf
 
@@ -174,7 +173,8 @@ def candidate_hit_rows(system) -> list[int]:
     s = system.surface
     if system.kind == "plus" and sf.pin_plus_obstruction(s) is not None:
         return []
-    cls, evaluate = cs._KINDS[system.kind]
+    cls = sf._KINDS[system.kind]
+    evaluate = sf._minus_value if system.kind == "minus" else sf._plus_value
     pres, tests = sf.homology_presentation(s), []
     for c in system.classes:
         gap, odd = divmod(system.target - evaluate(0, c, pres), cls.step)

@@ -15,7 +15,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import pinlef as P
@@ -1216,26 +1216,100 @@ _EXAMPLE_LINES = [
 ] + [THREEFOLD_TEXT.splitlines(), SPHERE_TEXT.splitlines()]
 
 
+# The document fuzz's pools: whole lines (headers, keys and rows, some of
+# them wrong); integers that replace one in a line, half of them small
+# (signs, "_", Unicode digits) and half past the rank cap or past what
+# int() converts; and tokens put into a line, those integers among them.
+_FUZZ_LINES = [
+    *(f"[{name}]" for name in (*cli._KEYS, "Surface", "unknown", "")),
+    "[surface",
+    *(f"kind = {k}" for k in ("orientable", "non-orientable", "flat", "")),
+    *(f"{key} = {n}" for key in ("genus", "crosscaps", "boundary") for n in (0, 1, 2)),
+    *(f"{key} = 1" for key in (*cli._EMBEDDED_FIELDS, "colour")),
+    "cup = 2",
+    "attach = 1,1",
+    "belt = 0,0",
+    "attach = 1,1,0,0",
+    "genus",
+    "= 1",
+    "# note",
+    *("2", "0,1", "1,1", "1, 1", " 3 ,0", "2,1,0,0,0,1,1", "0,1,0,0,0,1"),
+    *("4", "-1", "1,,1", "1,1,", ",", "row = 2"),
+]
+_SMALL_INTEGERS = ["0", "1", "3", "4", "00", "-0", "-1", "+1", "1_0"]
+_HUGE_INTEGERS = ["4097", "1" + "0" * 12, "9" * 5000, "-" + "9" * 5000, "1" * 4301]
+_FUZZ_INTEGERS = st.sampled_from(
+    [*_SMALL_INTEGERS, "\u0663", "\U0001d7d9", "\u00b2"]
+) | st.sampled_from(_HUGE_INTEGERS)
+_FUZZ_TOKENS = _FUZZ_INTEGERS | st.sampled_from(
+    [
+        *(" ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2003"),
+        *("\u2028", "\u3000", "\u200b", "\ufeff"),
+        *(",", "=", "#", "[", "]", "_", "-", "+"),
+    ]
+)
+_STRAY_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]
+
+
 @st.composite
-def _mutated_example(draw):
-    """A bundled example with one line replaced, deleted or duplicated."""
+def _fuzzed_document(draw) -> bytes:
+    """A bundled example or a threefold or sphere document with one to
+    four lines replaced (from a pool or by any text), deleted, duplicated,
+    swapped, inserted from a pool, given a token or one of their integers
+    rewritten, and maybe its sections shuffled; then line ends of "\n",
+    "\r\n", "\r" or a mix, and maybe a stray invalid UTF-8 byte."""
     lines = list(draw(st.sampled_from(_EXAMPLE_LINES)))
-    i = draw(st.integers(0, len(lines) - 1))
-    action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
-    if action == "replace":
-        lines[i] = draw(st.text(max_size=30))
-    elif action == "delete":
-        del lines[i]
-    else:
-        lines.insert(i, lines[i])
-    return "\n".join(lines).encode("utf-8")
+    # Rewriting an integer comes up twice as often: most are in rows.
+    actions = ["replace", "delete", "copy", "swap", "insert", "token", *["number"] * 2]
+    for action in draw(st.lists(st.sampled_from(actions), min_size=1, max_size=4)):
+        if action == "number":
+            numbers = [
+                (i, *m.span())
+                for i, line in enumerate(lines)
+                for m in re.finditer("[0-9]+", line)
+            ]
+            if numbers:
+                i, j, k = draw(st.sampled_from(numbers))
+                number = draw(_FUZZ_INTEGERS)
+                lines[i] = lines[i][:j] + number + lines[i][k:]
+            continue
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if action == "insert" or not lines:
+            lines.insert(i, draw(st.sampled_from(_FUZZ_LINES)))
+        elif action == "replace":
+            lines[i] = draw(st.sampled_from(_FUZZ_LINES) | st.text(max_size=30))
+        elif action == "delete":
+            del lines[i]
+        elif action == "copy":
+            lines.insert(i, lines[i])
+        elif action == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            k = draw(st.integers(j, min(j + 2, len(lines[i]))))
+            lines[i] = lines[i][:j] + draw(_FUZZ_TOKENS) + lines[i][k:]
+    if draw(st.booleans()):
+        starts = [i for i, line in enumerate(lines) if line.startswith("[")]
+        cuts = [0, *starts, len(lines)]
+        sections = [lines[a:b] for a, b in zip(cuts, cuts[1:])]
+        lines = [line for part in draw(st.permutations(sections)) for line in part]
+    n = len(lines)
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    mixed = st.lists(end, min_size=n, max_size=n)
+    ends = draw(st.one_of(end.map(lambda e: [e] * n), mixed))
+    data = "".join(map(str.__add__, lines, ends)).encode()
+    if draw(st.integers(0, 7)) == 7:
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + draw(st.sampled_from(_STRAY_BYTES)) + data[i:]
+    return data
 
 
 @given(
     st.one_of(
         st.binary(max_size=200),
         st.text(max_size=200).map(lambda t: t.encode("utf-8")),
-        _mutated_example(),
+        _fuzzed_document(),
     ),
     st.sampled_from(["decide", "enumerate", "oracle", "surface-info"]),
     st.sampled_from(["text", "machine"]),
@@ -1251,6 +1325,40 @@ def test_main_survives_arbitrary_input(data, command, fmt):
             status = cli.main([command, str(doc), "--format", fmt])
     assert status in (0, 1, 2)
     assert (status == 2) == err.getvalue().startswith("error: ")
+
+
+# Tier-1 runs at least 300 documents; the `fuzz` profile (tests/conftest.py)
+# runs twenty times as many.
+@seed(20261022)
+@given(
+    _fuzzed_document(),
+    st.sampled_from(list(cli._COMMANDS)),
+    st.sampled_from(list(cli._KINDS)),
+    st.sampled_from(cli._FORMATS),
+)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_document_fuzz_ends_in_a_report_or_one_error_line(data, command, kind, fmt):
+    # Every command on a malformed document ends in a report (exit 0 or 1)
+    # or in exit 2 with one "error: " line and no report; no other
+    # exception escapes.  The report goes to a file, as a listing may run
+    # to tens of megabytes.
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, report = Path(tmp) / "doc.pinlef", Path(tmp) / "report.txt"
+        doc.write_bytes(data)
+        with (
+            open(report, "w") as out,
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            status = cli.main([command, str(doc), "--kind", kind, "--format", fmt])
+        written = report.stat().st_size
+    assert status in (0, 1, 2)
+    if status == 2:
+        assert written == 0
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue())
+    else:
+        assert written and not err.getvalue()
 
 
 # More digits than int() converts by default (4300).

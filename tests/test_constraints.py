@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pinlef as P
@@ -18,7 +20,7 @@ from pinlef import surfaces as sf
 from pinlef import threefolds as tf
 from pinlef.constraints import ConstraintSystem
 from pinlef.errors import InputError, InvariantViolation
-from helpers import candidate_hit_rows, random_decomposition
+from helpers import candidate_hit_rows, random_decomposition, random_two_sided_row
 
 
 @pytest.fixture
@@ -139,6 +141,36 @@ def test_kinds_sharing_one_elimination_leak_nothing(x):
             assert report.certificate == alone.certificate
             assert report.witness == alone.witness
         assert "echelon" in subject._checked.__dict__
+
+
+def _rank_20_fibration():
+    """The rank-20 oracle document of CI: .github/scripts/random_closed_fiber.py
+    20 12 draws its cycles as random_two_sided_row does, from Random(20)."""
+    rng = random.Random(20)
+    cycles = [P.z4_class(random_two_sided_row(rng, 20)) for _ in range(12)]
+    return P.LefschetzFibration(P.non_orientable_surface(20), tuple(cycles))
+
+
+@given(subjects())
+@example(_rank_20_fibration())
+@settings(max_examples=60, deadline=None)
+def test_copies_and_pickles_carry_only_classes_and_surface(x):
+    # What the subject's checked classes keep once both kinds decide and
+    # scan stays with them: a pickle or a deep copy of the subject, and a
+    # copy of the list, hold the classes and their surface only.
+    x = _fresh(x)
+    size = len(pickle.dumps(x))
+    for kind, decide in DECIDERS[type(x)].items():
+        decide(x)
+        x._system(kind).hit_rows()
+    checked = x._checked
+    assert {"echelon", "base_values"} <= vars(checked).keys()
+    assert len(pickle.dumps(x)) == size
+    copies = [pickle.loads(pickle.dumps(x)), copy.deepcopy(x)]
+    for c in [y._checked for y in copies] + [copy.copy(checked)]:
+        assert type(c) is type(checked) and c == checked
+        assert vars(c) == {"surface": checked.surface}
+    assert copies == [x, x]
 
 
 # ---------------------------------------------------------------------------
@@ -714,21 +746,24 @@ def test_minus_systems_read_z2_classes():
 
 
 def test_checked_classes_give_each_surface_its_own_base_values():
-    # Checked classes hold no surface, and systems on two surfaces of one
-    # rank may share them: each surface reads its own q0 off the classes.
+    # Checked classes are bound to the surface they were checked for, and
+    # a system on another surface of the same rank checks them for its own:
+    # each surface reads its own q0 off the classes.
     checked = P.LefschetzFibration(TORUS_1, (P.z4_class([1, 0]),))._checked
     for kind, target in (("minus", 0), ("minus", 1), ("plus", 0)):
         for surface in (TORUS_1, KLEIN, TORUS_1):
             shared = ConstraintSystem(kind, surface, checked, target)
             fresh = ConstraintSystem(kind, surface, tuple(checked), target)
             assert shared.hit_rows() == fresh.hit_rows() == candidate_hit_rows(fresh)
+            assert shared._checked.surface == surface
     assert ConstraintSystem("minus", KLEIN, checked, 0).hit_rows() == []
     assert ConstraintSystem("minus", TORUS_1, checked, 0).hit_rows() == [0, 1]
 
 
 def test_threads_sharing_checked_classes_read_their_own_surface():
-    # Threads read q0 off one list of checked classes for two surfaces at
-    # once; each must get its own surface's values, never the other's.
+    # Threads make systems on two surfaces of one rank from one list of
+    # classes checked for one of them, at once; each must get its own
+    # surface's values, never the other's.
     checked = P.LefschetzFibration(TORUS_1, (P.z4_class([1, 0]),))._checked
     expected = {
         s: ConstraintSystem("minus", s, tuple(checked), 0).hit_rows()

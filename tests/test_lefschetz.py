@@ -50,6 +50,7 @@ def test_systems_over_a_fibrations_checked_cycles():
     for kind, target in (("minus", 2), ("plus", 1)):
         system = ConstraintSystem(kind, f.fiber, f._checked, target)
         assert system == ConstraintSystem(kind, f.fiber, f.cycles, target)
+        assert system._checked is f._checked
         assert type(system.classes) is tuple
         with pytest.raises(InputError) as err:
             ConstraintSystem(kind, P.orientable_surface(1, 2), f._checked, target)

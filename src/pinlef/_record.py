@@ -13,8 +13,8 @@ in ``__match_args__`` when the class is made, and gives what the decorator did:
   and ``__hash__ = object.__hash__``;
 * ``AttributeError`` on assigning or deleting any attribute.
 
-``copy`` and ``pickle`` restore the instance dict directly and need nothing
-more; ``functools.cached_property`` writes there too, so it still works.
+``copy`` and ``pickle`` call the class on the field values, keeping nothing
+a read stored, such as a ``functools.cached_property`` value.
 ``dataclasses.fields`` and ``dataclasses.replace`` do not apply.
 """
 
@@ -44,6 +44,9 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(self._field_values())
+
+    def __reduce__(self):
+        return type(self), self._field_values()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

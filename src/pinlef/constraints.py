@@ -89,8 +89,8 @@ class StructureSet(Record):
     kernel row are zero.  Structure i is ``first`` XOR the kernel rows
     picked by the bits of i, the first row being the most significant bit,
     so index order is lexicographic order of the values.  The set holds
-    one int per kernel dimension; it builds enhancements only when indexed
-    or iterated.
+    only these four fields: an index spreads the one row it picks, and
+    iteration spreads ``first`` and the kernel rows once per pass.
     """
 
     def __init__(
@@ -104,21 +104,10 @@ class StructureSet(Record):
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "kernel", kernel)
-        # The spread of first and of the kernel rows, once read.  Set here,
-        # so every instance dict has the same keys.
-        object.__setattr__(self, "_spread_rows", None)
 
     @property
     def _cls(self) -> type:
         return sf._KINDS[self.kind]
-
-    def _spread(self) -> tuple[int, list[int]]:
-        """:func:`sf._spread` of first and the kernel rows, made once per set."""
-        spread = self._spread_rows
-        if spread is None:
-            spread = sf._spread(self._cls, self.surface, self.first, self.kernel)
-            object.__setattr__(self, "_spread_rows", spread)
-        return spread
 
     @property
     def count(self) -> int:
@@ -142,10 +131,11 @@ class StructureSet(Record):
             i += n
         if not 0 <= i < n:
             raise IndexError("structure index out of range")
-        x, rows = self._spread()
-        for j, row in enumerate(reversed(rows)):
+        row = self.first
+        for j, k in enumerate(reversed(self.kernel)):
             if i >> j & 1:
-                x ^= row
+                row ^= k
+        x, _ = sf._spread(self._cls, self.surface, row, ())
         return self._cls(self.surface, tuple(x.to_bytes(self.surface.z2_rank, "big")))
 
     def __contains__(self, q) -> bool:
@@ -170,7 +160,8 @@ class StructureSet(Record):
         if self.first is None:
             return iter(())
         r = self.surface.z2_rank
-        return (v.to_bytes(r, "big") for v in _walk(*self._spread()))
+        spread = sf._spread(self._cls, self.surface, self.first, self.kernel)
+        return (v.to_bytes(r, "big") for v in _walk(*spread))
 
     def lines(self, prefix: str) -> Iterator[str]:
         """Each structure as a text line, ``prefix`` then its values joined

@@ -135,6 +135,21 @@ def twist(pres, c, x) -> tuple[int, ...]:
     return tuple((a + b) % 4 for a, b in zip(x, c))
 
 
+def monodromy_closes_mod2(pres, cycles) -> bool:
+    """Whether the product of the twists along ``cycles`` acts trivially
+    on H1(F; Z2): each generator, twisted along every cycle in turn, is
+    itself again mod 2."""
+    r = pres.z2_rank
+    for i in range(r):
+        unit = tuple(int(i == k) for k in range(r))
+        x = unit
+        for c in cycles:
+            x = twist(pres, c, x)
+        if any((a - b) % 2 for a, b in zip(x, unit)):
+            return False
+    return True
+
+
 def hurwitz_move(pres, cycles, i) -> list[tuple[int, ...]]:
     """The cycle list with (c_i, c_{i+1}) replaced by (T_{c_i}(c_{i+1}), c_i);
     the product of the twists, and so the fibration, does not change."""

@@ -8,8 +8,10 @@ from itertools import product
 import pytest
 
 import pinlef as P
+from pinlef import cli
 from pinlef.charclasses import over_s2
 from pinlef.errors import InputError
+from helpers import monodromy_closes_mod2
 
 RP2_IN_RP4 = P.EmbeddedSurfaceData(
     euler_char_mod2=1,
@@ -100,3 +102,61 @@ def test_sphere_mode_agrees_with_charclass_mode():
         agree = over_s2(minus, d) == ((w2 + w1sq) % 2 == 0)
         assert agree == (d.w1sq_sigma == d.euler_char_mod2)
         assert not over_s2(no, d)
+
+
+# ---------------------------------------------------------------------------
+# closed fibrations over the sphere with known verdicts
+# ---------------------------------------------------------------------------
+
+
+def _over_s2(surface: str, cycles: list[str], self_intersection: int = 0):
+    """Sphere-mode ``decide --kind both`` on a closed fiber (``surface`` its
+    kind and count lines), the cycle rows and a dual surface whose only
+    nonzero term is its self-intersection: the text, status and document.
+    The document has a closed fiber, a monodromy that closes mod 2 and
+    data obeying Wu's formula (w1^2 = euler mod 2 on a closed surface)."""
+    rows = "".join(row + "\n" for row in cycles)
+    doc = cli.parse(
+        f"[surface]\n{surface}\nboundary = 0\n\n[cycles]\n{rows}\n"
+        "[embedded-surface]\neuler = 0\n"
+        f"self_intersection = {self_intersection}\n"
+        "cup = 0\nw1sq_surface = 0\nw1sq_normal = 0\n"
+    )
+    assert doc.surface.closed
+    pres = P.homology_presentation(doc.surface)
+    assert monodromy_closes_mod2(pres, [c.coords for c in doc.cycles])
+    d = doc.embedded_surfaces[0]
+    assert d.w1sq_sigma == d.euler_char_mod2
+    text, status = cli.run("decide", doc, kind="both")
+    return text, status, P.LefschetzFibration(doc.surface, doc.cycles)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_elliptic_surface_is_pin_exactly_when_spin(n):
+    # E(n): a torus fiber, the cycles a, b repeated 6n times, and a section
+    # sphere of square -n dual to the fiber.  E(n) is spin exactly when n
+    # is even (Gompf and Stipsicz, 4-Manifolds and Kirby Calculus, ch. 3);
+    # E(2) is the K3 surface.
+    cycles = ["1,0", "0,1"] * 6 * n
+    text, status, f = _over_s2("kind = orientable\ngenus = 1", cycles, n % 2)
+    for decide in (P.decide_pin_minus, P.decide_pin_plus):
+        report = decide(f)
+        assert report.exists and report.structure_count == 1
+    verdict = "NO" if n % 2 else "YES"
+    assert f"Pin+ over S2: {verdict}" in text
+    assert f"Pin- over S2: {verdict}" in text
+    assert status == n % 2
+
+
+def test_whole_s2_times_rp2_has_pin_minus_only():
+    # The product RP2-bundle over S2: fiber RP2, no vanishing cycles, and
+    # the section {p} x S2 with trivial normal bundle.  w(S2 x RP2) =
+    # (1 + a)^3, so w2 = a^2 != 0 and w2 + w1^2 = 0 (Milnor and Stasheff,
+    # Characteristic Classes, section 4): no Pin+, and Pin- with
+    # |H^1(S2 x RP2; Z2)| = 2 structures.
+    text, status, f = _over_s2("kind = non-orientable\ncrosscaps = 1", [])
+    assert "Pin+ over S2: NO" in text
+    assert "Pin- over S2: YES" in text
+    assert status == 1
+    assert P.decide_pin_minus(f).structure_count == 2
+    assert not P.decide_pin_plus(f).exists

@@ -225,9 +225,10 @@ def test_structure_set_order_indexing_and_membership(monkeypatch, seed):
     spreads = []
     original = sf._spread
 
-    def counted(*args):
-        spreads.append(1)
-        return original(*args)
+    def counted(cls, surface, first, rows, *gap):
+        rows = list(rows)
+        spreads.append(len(rows))
+        return original(cls, surface, first, rows, *gap)
 
     monkeypatch.setattr(sf, "_spread", counted)
     for report, brute, surface in systems:
@@ -240,12 +241,31 @@ def test_structure_set_order_indexing_and_membership(monkeypatch, seed):
         assert bool(s) is report.exists
         for i in range(-len(listed), len(listed)):
             assert s[i] == listed[i]
-        # Iteration and every index read one spread of the base.
-        assert len(spreads) == bool(s)
+        # Iteration and values() spread the d kernel rows once per pass, and
+        # an index spreads none.
+        d = len(s.kernel)
+        assert spreads == ([d, d] + [0] * 2 * len(listed) if s else [])
         accepted = set(brute)
         assert set(listed) == accepted
         for q in sf.enumerate_enhancements(surface, report.kind):
             assert (q in s) == (q in accepted)
+
+
+_SET_FIELDS = {"kind", "surface", "first", "kernel"}
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_structure_sets_keep_only_their_rows(seed):
+    # Indexing, iterating and listing a set leave it as it was made: its
+    # instance dict holds the four fields, and its report pickles the same.
+    for report, _, _ in _small_systems(seed):
+        s = report.structures
+        before = pickle.dumps(report)
+        if s:
+            s[0], s[-1], s[len(s) // 2]
+        list(s), list(s.values()), list(s.lines("q = "))
+        assert vars(s).keys() == _SET_FIELDS
+        assert pickle.dumps(report) == before
 
 
 def _small_system_inputs(seed):
@@ -311,12 +331,20 @@ def test_structure_sets_hold_the_rows_eliminate_bits_returns(seed):
 def test_rank_4096_product_keeps_bit_rows(decide, step):
     # The orientable fiber's base values are all 0, and every correction
     # is free: the kernel is the identity, one 4096-bit row per generator.
+    # An index spreads the one row it picks and leaves nothing on the set.
     s = decide(_fibration(P.orientable_surface(2048, 1))).structures
     assert len(s.kernel) == 4096
     assert sys.getsizeof(s.kernel) + sum(map(sys.getsizeof, s.kernel)) <= 2 << 20
-    assert s[0].values == (0,) * 4096
-    assert s[-1].values == (step,) * 4096
-    assert s[-1] in s
+    tracemalloc.start()
+    try:
+        assert s[0].values == (0,) * 4096
+        assert s[-1].values == (step,) * 4096
+        assert s[0] in s and s[-1] in s
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 19
+    assert vars(s).keys() == _SET_FIELDS
 
 
 @pytest.mark.parametrize(

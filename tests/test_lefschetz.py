@@ -15,6 +15,7 @@ from pinlef.errors import InputError, InvariantViolation
 from helpers import (
     RANK_3_4_FIBERS,
     RANK_LE_2_FIBERS,
+    monodromy_closes_mod2,
     random_two_sided_row,
     sample_instances,
 )
@@ -346,6 +347,41 @@ def test_sphere_criterion_odd_euler_cancels_square():
     # chi + [sigma]^2 + cup = 1 + 1 + 0 = 0: the dual surface does not
     # obstruct Pin+, so the disk-part verdict stands
     assert verdicts.pin_plus == P.decide_pin_plus(disk_part).exists
+
+
+def _chain(g: int) -> list[tuple[int, ...]]:
+    """The chain c1..c_{2g+1} on the genus-g fiber: a1, b1, a1+a2, b2, ...,
+    a_{g-1}+a_g, b_g, a_g, over the generators a1, b1, ..., a_g, b_g."""
+
+    def row(*gens):
+        return tuple(int(j in gens) for j in range(2 * g))
+
+    chain = [row(0)]
+    for i in range(g):
+        chain.append(row(2 * i + 1))
+        chain.append(row(2 * i, 2 * i + 2) if i < g - 1 else row(2 * i))
+    return chain
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_hyperelliptic_chain_has_pin_exactly_in_odd_genus(g):
+    # The chain relation (t_c1 ... t_c_{2g+1})^{2g+2} = 1 in Mod(F_g) (Farb
+    # and Margalit, A Primer on Mapping Class Groups, 2012) gives a closed
+    # fibration; mod 2 its monodromy closes there and not one power short.
+    # On the disk part q(a1) = 2, and q(a_i + a_{i+1}) = 2 forces
+    # q(a_{i+1}) = 2 - q(a_i), so q(a_g) = 2 holds only for odd g.
+    fiber = P.orientable_surface(g)
+    pres = P.homology_presentation(fiber)
+    chain = _chain(g)
+    assert len(chain) == 2 * g + 1
+    assert monodromy_closes_mod2(pres, chain * (2 * g + 2))
+    assert not monodromy_closes_mod2(pres, chain * (2 * g + 1))
+    f = P.LefschetzFibration(fiber, tuple(map(P.z4_class, chain * (2 * g + 2))))
+    for decide in (P.decide_pin_minus, P.decide_pin_plus):
+        report = decide(f)
+        assert report.exists is (g % 2 == 1)
+        assert report.structure_count == g % 2
+        assert report.h1_annihilator_dim == 0
 
 
 def _reference_witness(f):

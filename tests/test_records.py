@@ -194,6 +194,28 @@ def test_copies_and_pickles_are_equal(make, text, variant):
             assert b == a and hash(b) == hash(a)
 
 
+def test_pickles_carry_the_fields_and_nothing_a_read_made():
+    # The dense form, an echelon's kernel and whatever indexing a report's
+    # structures makes stay out of a pickle, and out of a copy.
+    pres = sf.homology_presentation.__wrapped__(P.orientable_surface(32, 1))
+    echelon = fl.echelon_bits(fl.BitRows((0b1011, 0b0110), 4))
+    f = P.LefschetzFibration(P.orientable_surface(2, 1), (P.z4_class((1, 0, 1, 0)),))
+    report = P.decide_pin_minus(f)
+    records = (pres, echelon, report)
+    before = [pickle.dumps(r) for r in records]
+    assert pres.z2_intersection.shape == (64, 64)
+    assert len(echelon.kernel) == 2
+    s = report.structures
+    assert s[0] in s and s[-1] == list(s)[-1]
+    assert [pickle.dumps(r) for r in records] == before
+    assert "z2_intersection" not in vars(copy.copy(pres))
+    assert copy.copy(echelon)._kernel is None
+    assert "echelon" in vars(f._checked)
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f and g._checked is not f._checked
+        assert vars(g._checked) == {"surface": f.fiber}
+
+
 def test_match_args_name_the_constructor_parameters():
     for make, _, _ in RECORDS:
         cls = type(make())
